@@ -1,12 +1,17 @@
-"""Bit-packed enumeration kernels with a numba fast path and a numpy fallback.
+"""Bit-packed enumeration kernels.
 
 Words are packed little-endian: bit j of word w holds position 64*w + j.
-Set DUALATTACK_BACKEND=numpy to force the fallback, =numba to require the
-fast path.  Kernels never draw random numbers and both backends return
-identical arrays, so results do not depend on the backend choice.
+The Gray sweep, the Walsh-Hadamard butterfly and the coset histogram carry
+a numba fast path and a numpy fallback; set DUALATTACK_BACKEND=numpy to
+force the fallback, =numba to require the fast path.  comb_xor_search has
+one numpy path on every backend.  Kernels never draw random numbers and
+both backends return identical arrays, so results do not depend on the
+backend choice.
 """
 
+import functools
 import os
+from math import comb
 
 import numpy as np
 
@@ -146,35 +151,6 @@ if HAS_NUMBA:
                 b += 1
             acc ^= basis[b]
             hist[_popcount64(acc)] += 1
-
-    @njit(cache=True)
-    def _comb_search_numba(cols, target, t, out):
-        """All t-subsets of cols whose xor equals target.  Returns the true
-        solution count; the first out.shape[0] index tuples are stored."""
-        nn = cols.shape[0]
-        cap = out.shape[0]
-        cnt = 0
-        idx = np.empty(t, np.int64)
-        ps = np.empty(t + 1, np.uint64)
-        ps[0] = np.uint64(0)
-        pos = 0
-        idx[0] = -1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] > nn - (t - pos):
-                pos -= 1
-                continue
-            ps[pos + 1] = ps[pos] ^ cols[idx[pos]]
-            if pos == t - 1:
-                if ps[t] == target:
-                    if cnt < cap:
-                        for d in range(t):
-                            out[cnt, d] = idx[d]
-                    cnt += 1
-            else:
-                pos += 1
-                idx[pos] = idx[pos - 1]
-        return cnt
 
 
 def _split_lo(m):
@@ -321,42 +297,104 @@ def coset_weight_hist(basis, x, n):
     return _coset_hist_numpy(basis, x, n)
 
 
-def _comb_search_python(cols, target, t):
-    import itertools
+# largest total size of the subset tables of one search, summed over splits
+MITM_HALF_CAP = 5 * 10**7
+# fixed numpy cost of one weight split, in subset-table entries
+_SPLIT_COST = 1000
 
-    nn = cols.shape[0]
-    out = []
-    cols_int = [int(c) for c in cols]
-    tgt = int(target)
-    for combo in itertools.combinations(range(nn), t):
-        acc = 0
-        for c in combo:
-            acc ^= cols_int[c]
-        if acc == tgt:
-            out.append(combo)
-    return np.array(out, np.int64).reshape(len(out), t)
+
+@functools.lru_cache(maxsize=64)
+def _subsets(lo, hi, t):
+    """All t-subsets of range(lo, hi) as a read-only (C(hi - lo, t), t)
+    int64 array in lexicographic order, built column by column."""
+    idx = np.zeros((1, 0), np.int64)
+    for d in range(t):
+        start = idx[:, -1] + 1 if d else np.full(1, lo, np.int64)
+        # leave room for the t - d - 1 entries still to come
+        cnt = np.maximum(hi - (t - d - 1) - start, 0)
+        first = np.cumsum(cnt) - cnt
+        rows = np.repeat(np.arange(idx.shape[0]), cnt)
+        step = np.arange(rows.size) - np.repeat(first, cnt)
+        idx = np.column_stack([idx[rows], start[rows] + step])
+    idx.setflags(write=False)
+    return idx
+
+
+def _search_plan(n, t):
+    # split point, weight splits (left weight, left size, right size) and
+    # table entries of the cheaper of the splits at n // 2 and at n
+    plans = []
+    for half in (n // 2, n):
+        splits = [(ta, comb(half, ta), comb(n - half, t - ta))
+                  for ta in range(max(0, t - (n - half)), min(t, half) + 1)]
+        size = sum(a + b for _, a, b in splits)
+        plans.append((size + _SPLIT_COST * len(splits), half, splits, size))
+    return min(plans)[1:]
+
+
+def comb_search_size(n, t):
+    """Subset-table entries comb_xor_search builds for the t-subsets of n
+    columns; it raises BudgetExceeded instead when they exceed
+    MITM_HALF_CAP."""
+    return _search_plan(n, t)[2]
 
 
 def comb_xor_search(cols, target, t, max_hits=1 << 22):
-    """Index tuples of all t-subsets of the uint64 cols xoring to target,
-    in lexicographic order."""
-    cols = np.ascontiguousarray(cols, dtype=np.uint64).reshape(-1)
-    if t == 0:
-        if int(target) == 0:
-            return np.empty((1, 0), np.int64)
-        return np.empty((0, 0), np.int64)
-    if t > cols.shape[0]:
+    """Index tuples of all t-subsets of the packed cols xoring to target,
+    in lexicographic order.
+
+    cols is a (n,) uint64 array or the (n, 1) output of pack_rows; target
+    is one word.  Meets in the middle: the columns split into a left and
+    a right part, and for each weight split the xors of the right part's
+    subsets are sorted and the left part's xors with target looked up in
+    them.  The split sits at n // 2, or at n (a plain scan of all
+    t-subsets against the empty right part) when that costs less in
+    table entries plus a fixed cost per weight split.  Raises
+    BudgetExceeded when the words are wider than 64 bits, when the tables
+    exceed MITM_HALF_CAP entries, or when more than max_hits tuples
+    qualify."""
+    cols = np.asarray(cols, dtype=np.uint64)
+    if cols.ndim == 2:
+        if cols.shape[1] > 1:
+            raise BudgetExceeded("subset search needs words of <= 64 bits")
+        cols = cols[:, 0]
+    cols = np.ascontiguousarray(cols).reshape(-1)
+    target = np.asarray(target, dtype=np.uint64).reshape(-1)
+    if target.size > 1:
+        raise BudgetExceeded("subset search needs words of <= 64 bits")
+    tgt = target[0] if target.size else np.uint64(0)
+    n = cols.shape[0]
+    if t < 0 or t > n:
+        return np.empty((0, max(t, 0)), np.int64)
+    half, splits, size = _search_plan(n, t)
+    if size > MITM_HALF_CAP:
+        raise BudgetExceeded("subset tables of %d entries exceed %d"
+                             % (size, MITM_HALF_CAP))
+    found = []
+    hits = 0
+    for ta, _, _ in splits:
+        left = _subsets(0, half, ta)
+        right = _subsets(half, n, t - ta)
+        lx = np.bitwise_xor.reduce(cols[left], axis=1) ^ tgt
+        rx = np.bitwise_xor.reduce(cols[right], axis=1)
+        order = np.argsort(rx, kind="stable")
+        rs = rx[order]
+        lo = np.searchsorted(rs, lx, "left")
+        cnt = np.searchsorted(rs, lx, "right") - lo
+        nhit = int(cnt.sum())
+        if not nhit:
+            continue
+        hits += nhit
+        if hits > max_hits:
+            raise BudgetExceeded("solution count exceeds max_hits=%d"
+                                 % max_hits)
+        li = np.repeat(np.arange(lx.size), cnt)
+        step = np.arange(nhit) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        ri = order[lo[li] + step]
+        found.append(np.concatenate([left[li], right[ri]], axis=1))
+    if not found:
         return np.empty((0, t), np.int64)
-    if HAS_NUMBA:
-        cap = 256
-        while True:
-            out = np.empty((cap, t), np.int64)
-            cnt = _comb_search_numba(cols, np.uint64(target), t, out)
-            if cnt <= cap:
-                return out[:cnt]
-            if cnt > max_hits:
-                raise BudgetExceeded(
-                    "solution count %d exceeds max_hits=%d" % (cnt, max_hits)
-                )
-            cap = cnt
-    return _comb_search_python(cols, target, t)
+    out = np.concatenate(found)
+    if out.shape[0] > 1:
+        out = out[np.lexsort(out.T[::-1])]
+    return out

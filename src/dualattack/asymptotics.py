@@ -134,7 +134,8 @@ def _dumer_grid(R, tau, levels=4, pts=65):
         cl, cs = float(lam[ij[0], 0]), float(s[0, ij[1]])
         lam_win = (max(0.0, cl - 2.5 * span_l), min(1.0 - R, cl + 2.5 * span_l))
         s_win = (max(0.0, cs - 2.5 * span_s), min(1.0, cs + 2.5 * span_s))
-    return best
+    # rounding can leave a cost of order -1e-17 for a tiny positive tau
+    return (max(best[0], 0.0),) + best[1:]
 
 
 def _dumer_min(R, tau):

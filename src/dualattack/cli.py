@@ -159,8 +159,10 @@ def _num_x(raw):
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
     return str(value)
 
 

@@ -5,6 +5,7 @@ A word is a 1-d uint8 array over {0,1} (BitVec), a matrix a 2-d one
 exact Python integers throughout.
 """
 
+import functools
 from math import comb
 
 import numpy as np
@@ -181,6 +182,12 @@ class SystematicForm:
         self.r = r
         self.rprime = rprime
         self.column_order = np.concatenate([part.ppos, part.npos])
+
+    @functools.cached_property
+    def shortened_parity(self):
+        """Parity-check matrix of the shortened code (the nullspace of
+        Rprime), computed on first use and shared by later callers."""
+        return gf2_nullspace(self.rprime)
 
 
 def systematic_form(code, part):

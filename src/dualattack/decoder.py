@@ -13,8 +13,7 @@ from math import ceil, comb
 import numpy as np
 
 from ._kernels import comb_xor_search, pack_rows
-from .codes import (Partition, as_bits, gf2_matmul, gf2_nullspace,
-                    systematic_form)
+from .codes import Partition, as_bits, gf2_matmul, systematic_form
 from .errors import BudgetExceeded, DomainError, RankDeficient
 from .fourier import fft_decode, index_to_bits
 from .krawtchouk import krawtchouk_exact
@@ -111,25 +110,9 @@ def default_n_iter(p):
     return int(ceil(Fraction(8) / Fraction(p)))
 
 
-def _pack_syndrome_cols(parity):
-    if parity.shape[0] > 64:
-        return None
-    return pack_rows(parity.T)[:, 0]
-
-
-def _syndrome_int(bits):
-    key = 0
-    for i, b in enumerate(bits):
-        if b:
-            key |= 1 << i
-    return np.uint64(key)
-
-
-def syndrome_decode_all(parity, syndrome, t, max_exhaustive=10**9,
-                        max_hits=1 << 22):
+def syndrome_decode_all(parity, syndrome, t, max_hits=1 << 22):
     """Every word e with parity e^T = syndrome and |e| = t, in canonical
-    support order.  Exhaustive when C(ncols, t) fits the budget, else a
-    birthday split on two halves of the support."""
+    support order, by the subset-xor kernel over the parity columns."""
     parity = as_bits(np.atleast_2d(parity))
     syndrome = as_bits(syndrome).reshape(-1)
     nrows, ncols = parity.shape
@@ -137,68 +120,11 @@ def syndrome_decode_all(parity, syndrome, t, max_exhaustive=10**9,
         raise DomainError("syndrome length differs from parity rows")
     if t < 0 or t > ncols:
         return []
-    total = comb(ncols, t)
-    cols = _pack_syndrome_cols(parity)
-    if total <= max_exhaustive and cols is not None:
-        if total > 2 * 10**6:
-            from ._kernels import HAS_NUMBA
-
-            if not HAS_NUMBA and total > 10**7:
-                return _birthday_decode(parity, syndrome, t, max_hits)
-        idx = comb_xor_search(cols, _syndrome_int(syndrome), t,
-                              max_hits=max_hits)
-        out = []
-        for row in idx:
-            e = np.zeros(ncols, np.uint8)
-            e[row] = 1
-            out.append(e)
-        return out
-    return _birthday_decode(parity, syndrome, t, max_hits)
-
-
-def _birthday_decode(parity, syndrome, t, max_hits):
-    nrows, ncols = parity.shape
-    half = ncols // 2
-    tgt = _syndrome_int(syndrome)
-    if nrows > 64:
-        raise BudgetExceeded("birthday split needs syndromes of <= 64 bits")
-    cols = pack_rows(parity.T)[:, 0]
-    split_cost = sum(comb(half, ta) + comb(ncols - half, t - ta)
-                     for ta in range(max(0, t - (ncols - half)),
-                                     min(t, half) + 1))
-    if split_cost > 5 * 10**7:
-        raise BudgetExceeded("birthday halves too large")
-    right = {}
-    for tb in range(t + 1):
-        if tb > ncols - half:
-            continue
-        buckets = {}
-        for sup in itertools.combinations(range(half, ncols), tb):
-            acc = np.uint64(0)
-            for c in sup:
-                acc ^= cols[c]
-            buckets.setdefault(int(acc), []).append(sup)
-        right[tb] = buckets
-    sols = []
-    for ta in range(max(0, t - (ncols - half)), min(t, half) + 1):
-        buckets = right.get(t - ta)
-        if buckets is None:
-            continue
-        for sup in itertools.combinations(range(half), ta):
-            acc = np.uint64(tgt)
-            for c in sup:
-                acc ^= cols[c]
-            for supb in buckets.get(int(acc), []):
-                sols.append(tuple(sup) + supb)
-                if len(sols) > max_hits:
-                    raise BudgetExceeded("solution count exceeds max_hits")
-    sols.sort()
-    out = []
-    for sup in sols:
-        e = np.zeros(ncols, np.uint8)
-        e[list(sup)] = 1
-        out.append(e)
-    return out
+    idx = comb_xor_search(pack_rows(parity.T), pack_rows(syndrome)[0], t,
+                          max_hits=max_hits)
+    out = np.zeros((idx.shape[0], ncols), np.uint8)
+    out[np.arange(idx.shape[0])[:, None], idx] = 1
+    return list(out)
 
 
 def solve_subproblem(code, part, y, v, u, sf=None):
@@ -213,7 +139,7 @@ def solve_subproblem(code, part, y, v, u, sf=None):
     yp, yn = part.split(y)
     shift = gf2_matmul(((yp ^ v)).reshape(1, -1), sf.r)[0]
     yprime = yn ^ shift
-    hn = gf2_nullspace(sf.rprime)
+    hn = sf.shortened_parity
     synd = gf2_matmul(yprime.reshape(1, -1), hn.T)[0]
     sols = syndrome_decode_all(hn, synd, u)
     if not sols:

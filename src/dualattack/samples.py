@@ -11,7 +11,9 @@ from math import comb
 
 import numpy as np
 
-from ._kernels import gray_low_weight, pack_rows, unpack_rows
+from ._kernels import (MITM_HALF_CAP, _sort_pairs, comb_search_size,
+                       comb_xor_search, gray_low_weight, pack_rows,
+                       unpack_rows)
 from .codes import (LinearCode, Partition, as_bits, gf2_matmul, random_code,
                     systematic_form)
 from .errors import BudgetExceeded, DomainError
@@ -128,11 +130,21 @@ def enumerate_dual_low_weight(code, part, w, strategy="auto",
 
     strategy "gray" sweeps the 2^(n-k) dual words (n - k <= 34);
     "mitm" meets in the middle over the weight split of h_N against the
-    shortened-code parity condition; "auto" picks gray when it fits."""
+    shortened-code parity condition h_N Rprime^T = 0 (k - s <= 64), then
+    sets h_P = h_N R^T.  "auto" picks by cost: the 2^(n-k) words of the
+    sweep against the subset-table entries comb_xor_search builds plus
+    the expected C(n-s, w) / 2^(k-s) hits, taking gray on a tie."""
     s = part.s
     nn = code.n - s
     if strategy == "auto":
-        strategy = "gray" if code.n - code.k <= 34 else "mitm"
+        r = code.k - s
+        size = comb_search_size(nn, w)
+        mitm = None
+        if 0 <= r <= 64 and size <= MITM_HALF_CAP:
+            mitm = size + (comb(nn, w) >> r)
+        gray = code.n - code.k <= 34 and (mitm is None
+                                          or 1 << (code.n - code.k) <= mitm)
+        strategy = "gray" if gray else "mitm"
     if strategy == "gray":
         if code.n - code.k > 34:
             raise BudgetExceeded("gray sweep capped at 2^34 dual words")
@@ -142,53 +154,14 @@ def enumerate_dual_low_weight(code, part, w, strategy="auto",
         return unpack_rows(hn, nn), unpack_rows(hp, s)
     if strategy != "mitm":
         raise DomainError("unknown strategy %r" % strategy)
-    return _mitm_low_weight(code, part, w, max_hits)
-
-
-def _mitm_low_weight(code, part, w, max_hits):
-    # h_N ranges over the weight-w words orthogonal to Rprime; h_P = h_N R^T
     sf = systematic_form(code, part)
-    nn = code.n - part.s
-    half = nn // 2
-    rp = sf.rprime
-    cost = sum(comb(half, wa) + comb(nn - half, w - wa)
-               for wa in range(max(0, w - (nn - half)), min(w, half) + 1))
-    if cost > 5 * 10**7:
-        raise BudgetExceeded("mitm halves too large")
-    right_by_weight = {}
-    for wb in range(w + 1):
-        if wb > nn - half:
-            continue
-        buckets = {}
-        for sup in itertools.combinations(range(half, nn), wb):
-            x = np.zeros(nn, np.uint8)
-            x[list(sup)] = 1
-            key = _syndrome_key(gf2_matmul(x.reshape(1, -1), rp.T)[0])
-            buckets.setdefault(key, []).append(x)
-        right_by_weight[wb] = buckets
-    hits = []
-    for wa in range(max(0, w - (nn - half)), min(w, half) + 1):
-        buckets = right_by_weight.get(w - wa)
-        if buckets is None:
-            continue
-        for sup in itertools.combinations(range(half), wa):
-            xa = np.zeros(nn, np.uint8)
-            xa[list(sup)] = 1
-            key = _syndrome_key(gf2_matmul(xa.reshape(1, -1), rp.T)[0])
-            for xb in buckets.get(key, []):
-                hits.append(xa ^ xb)
-                if len(hits) > max_hits:
-                    raise BudgetExceeded("hit count exceeds max_hits")
-    if not hits:
-        return np.zeros((0, nn), np.uint8), np.zeros((0, part.s), np.uint8)
-    hn = np.array(hits, np.uint8)
-    hp = gf2_matmul(hn, sf.r.T)
-    # canonical packed order, matching the gray path
-    pn, pp = pack_rows(hn), pack_rows(hp)
-    keys = tuple(pp[:, c] for c in range(pp.shape[1] - 1, -1, -1)) + tuple(
-        pn[:, c] for c in range(pn.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys)
-    return hn[order], hp[order]
+    idx = comb_xor_search(pack_rows(sf.rprime.T), 0, w, max_hits=max_hits)
+    # h_N is the xor of the unit words at idx, h_P that of the rows of R^T
+    units = pack_rows(np.eye(nn, dtype=np.uint8))
+    hn = np.bitwise_xor.reduce(units[idx], axis=1)
+    hp = np.bitwise_xor.reduce(pack_rows(sf.r.T)[idx], axis=1)
+    hn, hp = _sort_pairs(hn, hp)
+    return unpack_rows(hn, nn), unpack_rows(hp, s)
 
 
 class SampleSet:

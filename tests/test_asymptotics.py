@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualattack import asymptotics as A
@@ -83,6 +83,7 @@ def test_dumer_domain():
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.0, 1.0))
+@example(R=0.5, frac=2.22e-16)
 @settings(max_examples=40, deadline=None)
 def test_dumer_cost_sane(R, frac):
     tau = frac * h2_inv(1.0 - R)

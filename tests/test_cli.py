@@ -204,6 +204,20 @@ def test_exponent_csv(tmp_path):
         assert r[5:] == [""] * 5
 
 
+def test_exponent_csv_numbers_are_plain(tmp_path):
+    # the double-RLPN row carries numpy scalars from the optimizer
+    out = tmp_path / "drlpn.csv"
+    assert cli.run(["exponent", "--algs", "double-rlpn", "--rmin", "0.42",
+                    "--rmax", "0.42", "--step", "0.01",
+                    "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert [r[0] for r in rows] == ["double-rlpn"]
+    numeric = [c for c in rows[0][1:] if c not in ("", "true", "false")]
+    assert len(numeric) == len(header) - 2
+    for cell in numeric:
+        float(cell)
+
+
 def test_exponent_flag_validation(capsys):
     assert cli.run(["exponent", "--algs", "sterno", "--rmin", "0.2",
                     "--rmax", "0.4", "--step", "0.1"]) == 2

@@ -146,14 +146,14 @@ def test_syndrome_decode_matches_scan():
                 assert np.array_equal(a, b)
 
 
-def test_birthday_matches_exhaustive():
+def test_syndrome_decode_matches_scan_wide():
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
         parity = rng.integers(0, 2, size=(9, 15), dtype=np.uint8)
         syndrome = rng.integers(0, 2, size=9, dtype=np.uint8)
         for t in range(5):
             a = D.syndrome_decode_all(parity, syndrome, t)
-            b = D._birthday_decode(parity, syndrome, t, max_hits=1 << 20)
+            b = _scan_decode(parity, syndrome, t)
             assert len(a) == len(b)
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)

@@ -156,35 +156,62 @@ def test_coset_hist_numpy_path_agrees():
                           K._coset_hist_numpy(basis, x, n))
 
 
-@pytest.mark.parametrize("t", [0, 1, 2, 3])
-def test_comb_xor_search_matches_brute(t):
+def _brute_comb(cols, target, t):
     import itertools
 
+    ref = []
+    for combo in itertools.combinations(range(cols.size), t):
+        acc = 0
+        for c in combo:
+            acc ^= int(cols[c])
+        if acc == int(target):
+            ref.append(combo)
+    return ref
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_comb_xor_search_matches_brute(t):
     rng = np.random.default_rng(17)
     cols = rng.integers(0, 1 << 12, size=18, dtype=np.uint64)
     target = np.uint64(0)
     for c in cols[[2, 5]]:
         target ^= c
     got = [tuple(row) for row in K.comb_xor_search(cols, target, t)]
-    ref = []
-    for combo in itertools.combinations(range(18), t):
-        acc = 0
-        for c in combo:
-            acc ^= int(cols[c])
-        if acc == int(target):
-            ref.append(combo)
-    assert got == ref
+    assert got == _brute_comb(cols, target, t)
     if t == 2:
         assert (2, 5) in got
 
 
-def test_comb_xor_search_python_path_agrees():
+def test_comb_xor_search_planted_triple_matches_brute():
     rng = np.random.default_rng(23)
     cols = rng.integers(0, 1 << 10, size=15, dtype=np.uint64)
     target = cols[0] ^ cols[3] ^ cols[9]
-    fast = [tuple(r) for r in K.comb_xor_search(cols, target, 3)]
-    slow = [tuple(r) for r in K._comb_search_python(cols, target, 3)]
-    assert fast == slow
+    got = [tuple(r) for r in K.comb_xor_search(cols, target, 3)]
+    assert got == _brute_comb(cols, target, 3)
+    assert (0, 3, 9) in got
+
+
+def test_comb_xor_search_split_matches_brute():
+    # 30 columns at t = 4 take the split at n // 2, not the plain scan
+    assert K._search_plan(30, 4)[0] == 15
+    rng = np.random.default_rng(29)
+    cols = rng.integers(0, 1 << 8, size=30, dtype=np.uint64)
+    target = cols[1] ^ cols[14] ^ cols[15] ^ cols[28]
+    got = [tuple(r) for r in K.comb_xor_search(cols, target, 4)]
+    assert got == _brute_comb(cols, target, 4)
+    assert len(got) > 50 and (1, 14, 15, 28) in got
+
+
+def test_comb_xor_search_budget():
+    # every pair of zero columns xors to 0: 45 solutions against a cap of 3
+    with pytest.raises(BudgetExceeded):
+        K.comb_xor_search(np.zeros(10, np.uint64), 0, 2, max_hits=3)
+    # halves of C(100, 6) subsets each exceed the table cap
+    with pytest.raises(BudgetExceeded):
+        K.comb_xor_search(np.zeros(200, np.uint64), 0, 6)
+    # two-word columns are syndromes wider than 64 bits
+    with pytest.raises(BudgetExceeded):
+        K.comb_xor_search(np.zeros((10, 2), np.uint64), 0, 2)
 
 
 def test_dot_parity():

@@ -74,6 +74,17 @@ def test_gray_and_mitm_agree(w):
     assert np.array_equal(g_p, m_p)
 
 
+def test_gray_and_mitm_agree_at_decode_scale():
+    # the README decode shape, where the kernel splits the 24 N-columns
+    code = C.random_code(40, 20, 5)
+    part = _good_partition(code, 16, 5)
+    g_n, g_p = S.enumerate_dual_low_weight(code, part, 5, strategy="gray")
+    m_n, m_p = S.enumerate_dual_low_weight(code, part, 5, strategy="mitm")
+    assert g_n.shape[0] > 1000
+    assert np.array_equal(g_n, m_n)
+    assert np.array_equal(g_p, m_p)
+
+
 def test_enumerate_finds_every_dual_word(seed=6):
     code = C.random_code(14, 8, seed)
     part = _good_partition(code, 5, seed)
@@ -95,6 +106,13 @@ def test_enumerate_budget():
     part = C.Partition(60, np.arange(10))
     with pytest.raises(BudgetExceeded):
         S.enumerate_dual_low_weight(code, part, 5, strategy="gray")
+    small = C.random_code(16, 7, 2)
+    spart = _good_partition(small, 6, 3)
+    hn, _ = S.enumerate_dual_low_weight(small, spart, 3, strategy="mitm")
+    assert hn.shape[0] > 2
+    with pytest.raises(BudgetExceeded):
+        S.enumerate_dual_low_weight(small, spart, 3, strategy="mitm",
+                                    max_hits=hn.shape[0] - 1)
 
 
 def test_pair_invariants_and_membership():
