@@ -299,11 +299,10 @@ def coset_weight_hist(basis, x, n):
 
 # largest total size of the subset tables of one search, summed over splits
 MITM_HALF_CAP = 5 * 10**7
-# fixed numpy cost of one weight split, in subset-table entries
-_SPLIT_COST = 1000
+# searches whose tables total at most this many rows keep them cached
+_CACHE_ROWS = 1 << 16
 
 
-@functools.lru_cache(maxsize=64)
 def _subsets(lo, hi, t):
     """All t-subsets of range(lo, hi) as a read-only (C(hi - lo, t), t)
     int64 array in lexicographic order, built column by column."""
@@ -320,63 +319,66 @@ def _subsets(lo, hi, t):
     return idx
 
 
-def _search_plan(n, t):
-    # split point, weight splits (left weight, left size, right size) and
-    # table entries of the cheaper of the splits at n // 2 and at n
-    plans = []
-    for half in (n // 2, n):
-        splits = [(ta, comb(half, ta), comb(n - half, t - ta))
-                  for ta in range(max(0, t - (n - half)), min(t, half) + 1)]
-        size = sum(a + b for _, a, b in splits)
-        plans.append((size + _SPLIT_COST * len(splits), half, splits, size))
-    return min(plans)[1:]
+_cached_subsets = functools.lru_cache(maxsize=64)(_subsets)
 
 
-def comb_search_size(n, t):
-    """Subset-table entries comb_xor_search builds for the t-subsets of n
-    columns; it raises BudgetExceeded instead when they exceed
-    MITM_HALF_CAP."""
-    return _search_plan(n, t)[2]
+def _weight_splits(n, t):
+    # left weights of the t-subsets split at n // 2, and the table entries
+    # the two halves take over all of them
+    half = n // 2
+    tas = range(max(0, t - (n - half)), min(t, half) + 1)
+    return tas, sum(comb(half, ta) + comb(n - half, t - ta) for ta in tas)
+
+
+def comb_search_fits(n, t):
+    """Whether comb_xor_search can run on n columns at weight t, i.e. its
+    subset tables stay within MITM_HALF_CAP entries."""
+    return _weight_splits(n, t)[1] <= MITM_HALF_CAP
 
 
 def comb_xor_search(cols, target, t, max_hits=1 << 22):
     """Index tuples of all t-subsets of the packed cols xoring to target,
     in lexicographic order.
 
-    cols is a (n,) uint64 array or the (n, 1) output of pack_rows; target
-    is one word.  Meets in the middle: the columns split into a left and
-    a right part, and for each weight split the xors of the right part's
-    subsets are sorted and the left part's xors with target looked up in
-    them.  The split sits at n // 2, or at n (a plain scan of all
-    t-subsets against the empty right part) when that costs less in
-    table entries plus a fixed cost per weight split.  Raises
-    BudgetExceeded when the words are wider than 64 bits, when the tables
-    exceed MITM_HALF_CAP entries, or when more than max_hits tuples
-    qualify."""
+    cols is a (n,) uint64 array or the (n, W) output of pack_rows; target
+    is one packed word or W of them (missing high words are zero).  Meets
+    in the middle: the columns split at n // 2, and for each weight split
+    the xors of the right part's subsets are sorted and the left part's
+    xors with target looked up in them.  Words wider than 64 bits are
+    matched by their rank among the distinct xors of both parts.  Raises
+    BudgetExceeded when the tables exceed MITM_HALF_CAP entries or more
+    than max_hits tuples qualify."""
     cols = np.asarray(cols, dtype=np.uint64)
-    if cols.ndim == 2:
-        if cols.shape[1] > 1:
-            raise BudgetExceeded("subset search needs words of <= 64 bits")
-        cols = cols[:, 0]
-    cols = np.ascontiguousarray(cols).reshape(-1)
+    if cols.ndim == 1:
+        cols = cols[:, None]
+    n, nw = cols.shape
     target = np.asarray(target, dtype=np.uint64).reshape(-1)
-    if target.size > 1:
-        raise BudgetExceeded("subset search needs words of <= 64 bits")
-    tgt = target[0] if target.size else np.uint64(0)
-    n = cols.shape[0]
+    if target.size > nw:
+        raise ValueError("target is wider than the columns")
+    tgt = np.zeros(nw, np.uint64)
+    tgt[:target.size] = target
     if t < 0 or t > n:
         return np.empty((0, max(t, 0)), np.int64)
-    half, splits, size = _search_plan(n, t)
+    half = n // 2
+    tas, size = _weight_splits(n, t)
     if size > MITM_HALF_CAP:
         raise BudgetExceeded("subset tables of %d entries exceed %d"
                              % (size, MITM_HALF_CAP))
+    subsets = _cached_subsets if size <= _CACHE_ROWS else _subsets
     found = []
     hits = 0
-    for ta, _, _ in splits:
-        left = _subsets(0, half, ta)
-        right = _subsets(half, n, t - ta)
+    for ta in tas:
+        left = subsets(0, half, ta)
+        right = subsets(half, n, t - ta)
         lx = np.bitwise_xor.reduce(cols[left], axis=1) ^ tgt
         rx = np.bitwise_xor.reduce(cols[right], axis=1)
+        if nw == 1:
+            lx, rx = lx[:, 0], rx[:, 0]
+        else:
+            _, rank = np.unique(np.concatenate([lx, rx]), axis=0,
+                                return_inverse=True)
+            rank = rank.reshape(-1)
+            lx, rx = rank[:left.shape[0]], rank[left.shape[0]:]
         order = np.argsort(rx, kind="stable")
         rs = rx[order]
         lo = np.searchsorted(rs, lx, "left")

@@ -11,9 +11,8 @@ from math import comb
 
 import numpy as np
 
-from ._kernels import (MITM_HALF_CAP, _sort_pairs, comb_search_size,
-                       comb_xor_search, gray_low_weight, pack_rows,
-                       unpack_rows)
+from ._kernels import (_sort_pairs, comb_search_fits, comb_xor_search,
+                       gray_low_weight, pack_rows, unpack_rows)
 from .codes import (LinearCode, Partition, as_bits, gf2_matmul, random_code,
                     systematic_form)
 from .errors import BudgetExceeded, DomainError
@@ -128,23 +127,15 @@ def enumerate_dual_low_weight(code, part, w, strategy="auto",
     """All dual words h with |h_N| = w, as (h_n, h_p) uint8 arrays in
     canonical packed order.
 
-    strategy "gray" sweeps the 2^(n-k) dual words (n - k <= 34);
-    "mitm" meets in the middle over the weight split of h_N against the
-    shortened-code parity condition h_N Rprime^T = 0 (k - s <= 64), then
-    sets h_P = h_N R^T.  "auto" picks by cost: the 2^(n-k) words of the
-    sweep against the subset-table entries comb_xor_search builds plus
-    the expected C(n-s, w) / 2^(k-s) hits, taking gray on a tie."""
+    strategy "gray" sweeps the 2^(n-k) dual words (n - k <= 34) and is
+    kept as the reference; "mitm" meets in the middle over the weight
+    split of h_N against the shortened-code parity condition
+    h_N Rprime^T = 0, then sets h_P = h_N R^T.  "auto" takes mitm whenever
+    comb_xor_search can build its subset tables, and gray otherwise."""
     s = part.s
     nn = code.n - s
     if strategy == "auto":
-        r = code.k - s
-        size = comb_search_size(nn, w)
-        mitm = None
-        if 0 <= r <= 64 and size <= MITM_HALF_CAP:
-            mitm = size + (comb(nn, w) >> r)
-        gray = code.n - code.k <= 34 and (mitm is None
-                                          or 1 << (code.n - code.k) <= mitm)
-        strategy = "gray" if gray else "mitm"
+        strategy = "mitm" if comb_search_fits(nn, w) else "gray"
     if strategy == "gray":
         if code.n - code.k > 34:
             raise BudgetExceeded("gray sweep capped at 2^34 dual words")

@@ -159,12 +159,18 @@ def test_coset_hist_numpy_path_agrees():
 def _brute_comb(cols, target, t):
     import itertools
 
+    # a 2-d cols row or a target array is one integer, word 0 lowest
+    def value(words):
+        words = np.asarray(words, np.uint64).reshape(-1)
+        return sum(int(x) << (64 * j) for j, x in enumerate(words))
+
+    vals = [value(c) for c in cols]
     ref = []
-    for combo in itertools.combinations(range(cols.size), t):
+    for combo in itertools.combinations(range(len(vals)), t):
         acc = 0
         for c in combo:
-            acc ^= int(cols[c])
-        if acc == int(target):
+            acc ^= vals[c]
+        if acc == value(target):
             ref.append(combo)
     return ref
 
@@ -192,8 +198,8 @@ def test_comb_xor_search_planted_triple_matches_brute():
 
 
 def test_comb_xor_search_split_matches_brute():
-    # 30 columns at t = 4 take the split at n // 2, not the plain scan
-    assert K._search_plan(30, 4)[0] == 15
+    # 8-bit columns: many right-half xors repeat, so one left-half lookup
+    # matches several of them
     rng = np.random.default_rng(29)
     cols = rng.integers(0, 1 << 8, size=30, dtype=np.uint64)
     target = cols[1] ^ cols[14] ^ cols[15] ^ cols[28]
@@ -207,11 +213,25 @@ def test_comb_xor_search_budget():
     with pytest.raises(BudgetExceeded):
         K.comb_xor_search(np.zeros(10, np.uint64), 0, 2, max_hits=3)
     # halves of C(100, 6) subsets each exceed the table cap
+    assert not K.comb_search_fits(200, 6)
     with pytest.raises(BudgetExceeded):
         K.comb_xor_search(np.zeros(200, np.uint64), 0, 6)
-    # two-word columns are syndromes wider than 64 bits
-    with pytest.raises(BudgetExceeded):
-        K.comb_xor_search(np.zeros((10, 2), np.uint64), 0, 2)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_comb_xor_search_wide_words_match_brute(t):
+    # two-word columns whose low words collide often: a match must hold on
+    # the high word too
+    rng = np.random.default_rng(31)
+    cols = np.column_stack([rng.integers(0, 4, size=24, dtype=np.uint64),
+                            rng.integers(0, 1 << 5, size=24,
+                                         dtype=np.uint64)])
+    target = np.bitwise_xor.reduce(cols[[3, 11, 17, 20][:t]], axis=0)
+    got = [tuple(r) for r in K.comb_xor_search(cols, target, t)]
+    assert got == _brute_comb(cols, target, t)
+    assert (3, 11, 17, 20)[:t] in got
+    low = [tuple(r) for r in K.comb_xor_search(cols[:, 0], target[0], t)]
+    assert len(low) > len(got)
 
 
 def test_dot_parity():

@@ -85,6 +85,29 @@ def test_gray_and_mitm_agree_at_decode_scale():
     assert np.array_equal(g_p, m_p)
 
 
+def test_gray_and_mitm_agree_on_wide_shortened_code():
+    # k - s = 72, so the shortened-code syndromes take two words; the dual
+    # has 12 rows whose N-parts are disjoint pairs, so sums of j rows have
+    # |h_N| = 2j
+    n, r, s = 100, 12, 16
+    rng = np.random.default_rng(8)
+    h = np.zeros((r, n), np.uint8)
+    h[:, :s] = rng.integers(0, 2, size=(r, s), dtype=np.uint8)
+    for i in range(r):
+        h[i, s + 2 * i:s + 2 * i + 2] = 1
+    code = C.LinearCode(C.gf2_nullspace(h), h)
+    part = C.Partition(n, np.arange(s))
+    assert code.k - s > 64
+    for w, count in [(2, r), (3, 0), (4, comb(r, 2))]:
+        g_n, g_p = S.enumerate_dual_low_weight(code, part, w,
+                                               strategy="gray")
+        m_n, m_p = S.enumerate_dual_low_weight(code, part, w,
+                                               strategy="mitm")
+        assert g_n.shape[0] == count
+        assert np.array_equal(g_n, m_n)
+        assert np.array_equal(g_p, m_p)
+
+
 def test_enumerate_finds_every_dual_word(seed=6):
     code = C.random_code(14, 8, seed)
     part = _good_partition(code, 5, seed)
