@@ -2,6 +2,4 @@
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND, HAS_NUMBA
-
-__all__ = ["BACKEND", "HAS_NUMBA", "__version__"]
+__all__ = ["__version__"]

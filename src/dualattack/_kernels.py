@@ -1,47 +1,15 @@
-"""Bit-packed enumeration kernels.
+"""Bit-packed enumeration kernels, one numpy path each.
 
 Words are packed little-endian: bit j of word w holds position 64*w + j.
-The Gray sweep, the Walsh-Hadamard butterfly and the coset histogram carry
-a numba fast path and a numpy fallback; set DUALATTACK_BACKEND=numpy to
-force the fallback, =numba to require the fast path.  comb_xor_search has
-one numpy path on every backend.  Kernels never draw random numbers and
-both backends return identical arrays, so results do not depend on the
-backend choice.
+Kernels never draw random numbers.
 """
 
 import functools
-import os
 from math import comb
 
 import numpy as np
 
 from .errors import BudgetExceeded
-
-_env = os.environ.get("DUALATTACK_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValueError("DUALATTACK_BACKEND must be 'numba' or 'numpy', got %r" % _env)
-
-HAS_NUMBA = False
-if _env != "numpy":
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-# SWAR popcount constants, kept as uint64 so numba never promotes to float
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_U1 = np.uint64(1)
-_U2 = np.uint64(2)
-_U4 = np.uint64(4)
-_U56 = np.uint64(56)
 
 
 def pack_rows(bits):
@@ -59,6 +27,16 @@ def unpack_rows(words, n):
     words = np.atleast_2d(words)
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     return np.ascontiguousarray(bits[:, :n])
+
+
+def row_ints(bits):
+    """Each row of a (m, n) or (n,) 0/1 array as a Python int whose bit j
+    is position j, at any width."""
+    words = pack_rows(bits)
+    ints = words[:, -1].tolist()
+    for c in range(words.shape[1] - 2, -1, -1):
+        ints = [(v << 64) | x for v, x in zip(ints, words[:, c].tolist())]
+    return ints
 
 
 def popcount_rows(words):
@@ -83,116 +61,35 @@ def xor_closure(rows):
     return tab
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _popcount64(x):
-        x = x - ((x >> _U1) & _M1)
-        x = (x & _M2) + ((x >> _U2) & _M2)
-        x = (x + (x >> _U4)) & _M4
-        return (x * _H01) >> _U56
-
-    @njit(cache=True)
-    def _gray_low_weight_numba(bn, bp, w, out_n, out_p):
-        """Sweep all xor combinations of (bn, bp) rows in Gray-code order,
-        recording pairs whose bn-part has popcount w.  Returns the true hit
-        count; only the first out_n.shape[0] hits are stored."""
-        m = bn.shape[0]
-        cap = out_n.shape[0]
-        acc_n = np.uint64(0)
-        acc_p = np.uint64(0)
-        cnt = 0
-        if w == 0:
-            if cap > 0:
-                out_n[0] = acc_n
-                out_p[0] = acc_p
-            cnt = 1
-        total = np.int64(1) << m
-        ww = np.uint64(w)
-        for i in range(1, total):
-            ii = i
-            b = 0
-            while ii & 1 == 0:
-                ii >>= 1
-                b += 1
-            acc_n ^= bn[b]
-            acc_p ^= bp[b]
-            if _popcount64(acc_n) == ww:
-                if cnt < cap:
-                    out_n[cnt] = acc_n
-                    out_p[cnt] = acc_p
-                cnt += 1
-        return cnt
-
-    @njit(cache=True)
-    def _wht_numba(a):
-        n = a.shape[0]
-        h = 1
-        while h < n:
-            for i in range(0, n, 2 * h):
-                for j in range(i, i + h):
-                    x = a[j]
-                    y = a[j + h]
-                    a[j] = x + y
-                    a[j + h] = x - y
-            h *= 2
-
-    @njit(cache=True)
-    def _coset_hist_numba(basis, x, hist):
-        k = basis.shape[0]
-        acc = x
-        hist[_popcount64(acc)] += 1
-        total = np.int64(1) << k
-        for i in range(1, total):
-            ii = i
-            b = 0
-            while ii & 1 == 0:
-                ii >>= 1
-                b += 1
-            acc ^= basis[b]
-            hist[_popcount64(acc)] += 1
+# rows in the low part of a block sweep: a 2^18-row block table is ~2 MB
+# per word column
+_BLOCK_ROWS = 18
 
 
-def _split_lo(m):
-    # 2^18 row table is ~2 MB per word column, a good block size
-    return min(m, 18)
+def _split_closures(rows):
+    return xor_closure(rows[:_BLOCK_ROWS]), xor_closure(rows[_BLOCK_ROWS:])
 
 
-def _gray_low_weight_numpy(bn, bp, w, max_hits):
-    m = bn.shape[0]
-    lo = _split_lo(m)
-    lo_n = xor_closure(bn[:lo])
-    lo_p = xor_closure(bp[:lo])
-    hi_n = xor_closure(bn[lo:])
-    hi_p = xor_closure(bp[lo:])
-    wide = bn.shape[1] > 1
-    hits_n = []
-    hits_p = []
-    cnt = 0
-    for j in range(hi_n.shape[0]):
-        v = lo_n ^ hi_n[j]
+def _block_sweep(rows, shift=None):
+    """Sweep the span of the packed (m, W) rows, shifted by one packed word
+    when given, one block per combination of the rows past _BLOCK_ROWS.
+    Yields (j, v, wt): the block's words v = low closure ^ j-th high
+    combination, and their weights (uint8 for single words, else int64)."""
+    lo_t, hi_t = _split_closures(rows)
+    if shift is not None:
+        hi_t ^= shift
+    wide = rows.shape[1] > 1
+    for j in range(hi_t.shape[0]):
+        v = lo_t ^ hi_t[j]
         if wide:
             wt = np.bitwise_count(v).astype(np.int64).sum(axis=1)
         else:
             wt = np.bitwise_count(v[:, 0])
-        mask = wt == w
-        nhit = int(np.count_nonzero(mask))
-        if nhit:
-            cnt += nhit
-            if cnt > max_hits:
-                raise BudgetExceeded(
-                    "low-weight hit count exceeds max_hits=%d" % max_hits
-                )
-            hits_n.append(v[mask])
-            hits_p.append(lo_p[mask] ^ hi_p[j])
-    if not hits_n:
-        wn, wp = bn.shape[1], bp.shape[1]
-        return np.empty((0, wn), np.uint64), np.empty((0, wp), np.uint64)
-    return np.concatenate(hits_n), np.concatenate(hits_p)
+        yield j, v, wt
 
 
 def _sort_pairs(hn, hp):
-    # canonical order so both backends and strategies agree bit for bit
+    # canonical order so that every enumeration strategy agrees bit for bit
     if hn.shape[0] <= 1:
         return hn, hp
     keys = tuple(hp[:, c] for c in range(hp.shape[1] - 1, -1, -1)) + tuple(
@@ -208,45 +105,27 @@ def gray_low_weight(bn, bp, w, max_hits=1 << 24):
     than max_hits combinations qualify."""
     bn = np.ascontiguousarray(np.atleast_2d(bn))
     bp = np.ascontiguousarray(np.atleast_2d(bp))
-    m = bn.shape[0]
-    if m != bp.shape[0]:
+    if bn.shape[0] != bp.shape[0]:
         raise ValueError("basis halves disagree on row count")
-    if m == 0:
-        if w == 0:
-            return (np.zeros((1, bn.shape[1]), np.uint64),
-                    np.zeros((1, bp.shape[1]), np.uint64))
-        return (np.empty((0, bn.shape[1]), np.uint64),
-                np.empty((0, bp.shape[1]), np.uint64))
-    if HAS_NUMBA and bn.shape[1] == 1 and bp.shape[1] == 1:
-        cap = 1024
-        while True:
-            out_n = np.empty((cap, 1), np.uint64)
-            out_p = np.empty((cap, 1), np.uint64)
-            cnt = _gray_low_weight_numba(bn[:, 0], bp[:, 0], w,
-                                         out_n[:, 0], out_p[:, 0])
-            if cnt <= cap:
-                hn, hp = out_n[:cnt], out_p[:cnt]
-                break
+    lo_p, hi_p = _split_closures(bp)
+    hits_n = []
+    hits_p = []
+    cnt = 0
+    for j, v, wt in _block_sweep(bn):
+        mask = wt == w
+        nhit = int(np.count_nonzero(mask))
+        if nhit:
+            cnt += nhit
             if cnt > max_hits:
                 raise BudgetExceeded(
-                    "low-weight hit count %d exceeds max_hits=%d" % (cnt, max_hits)
+                    "low-weight hit count exceeds max_hits=%d" % max_hits
                 )
-            cap = cnt
-    else:
-        hn, hp = _gray_low_weight_numpy(bn, bp, w, max_hits)
-    return _sort_pairs(hn, hp)
-
-
-def _wht_numpy(a):
-    n = a.shape[0]
-    h = 1
-    while h < n:
-        b = a.reshape(-1, 2 * h)
-        x = b[:, :h].copy()
-        y = b[:, h:].copy()
-        b[:, :h] = x + y
-        b[:, h:] = x - y
-        h *= 2
+            hits_n.append(v[mask])
+            hits_p.append(lo_p[mask] ^ hi_p[j])
+    if not hits_n:
+        return (np.empty((0, bn.shape[1]), np.uint64),
+                np.empty((0, bp.shape[1]), np.uint64))
+    return _sort_pairs(np.concatenate(hits_n), np.concatenate(hits_p))
 
 
 def wht_inplace(a):
@@ -258,43 +137,25 @@ def wht_inplace(a):
         raise ValueError("length must be a power of two")
     if not a.flags.c_contiguous:
         raise ValueError("array must be contiguous")
-    if HAS_NUMBA:
-        _wht_numba(a)
-    else:
-        _wht_numpy(a)
+    h = 1
+    while h < n:
+        b = a.reshape(-1, 2 * h)
+        x = b[:, :h].copy()
+        y = b[:, h:].copy()
+        b[:, :h] = x + y
+        b[:, h:] = x - y
+        h *= 2
     return a
-
-
-def _coset_hist_numpy(basis, x, n):
-    m = basis.shape[0]
-    lo = _split_lo(m)
-    lo_t = xor_closure(basis[:lo])
-    hi_t = xor_closure(basis[lo:]) ^ x
-    wide = basis.shape[1] > 1
-    hist = np.zeros(n + 1, np.int64)
-    for j in range(hi_t.shape[0]):
-        v = lo_t ^ hi_t[j]
-        if wide:
-            wt = np.bitwise_count(v).astype(np.int64).sum(axis=1)
-        else:
-            wt = np.bitwise_count(v[:, 0]).astype(np.int64)
-        hist += np.bincount(wt, minlength=n + 1)
-    return hist
 
 
 def coset_weight_hist(basis, x, n):
     """Weight histogram of {x + c : c in span(basis)} over words of n bits."""
     basis = np.ascontiguousarray(np.atleast_2d(basis))
     x = np.ascontiguousarray(x).reshape(-1)
-    if basis.shape[0] == 0:
-        hist = np.zeros(n + 1, np.int64)
-        hist[int(popcount_rows(x[None, :])[0])] = 1
-        return hist
-    if HAS_NUMBA and basis.shape[1] == 1:
-        hist = np.zeros(n + 1, np.int64)
-        _coset_hist_numba(basis[:, 0], x[0], hist)
-        return hist
-    return _coset_hist_numpy(basis, x, n)
+    hist = np.zeros(n + 1, np.int64)
+    for _, _, wt in _block_sweep(basis, x):
+        hist += np.bincount(wt, minlength=n + 1)
+    return hist
 
 
 # largest total size of the subset tables of one search, summed over splits

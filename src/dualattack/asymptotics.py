@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError
-from .krawtchouk import h2, h2_inv, kappa_tilde, kappa_tilde_many
+from .krawtchouk import _kappa_grid, _omega_perp, h2, h2_inv, kappa_tilde
 
 INF = math.inf
 
@@ -71,12 +71,11 @@ class ExponentPoint:
 def _h2v(x):
     # vector entropy; nan outside [0, 1] so callers can mask invalid cells
     x = np.asarray(x, dtype=np.float64)
-    out = np.full(x.shape, np.nan)
-    out[(x == 0.0) | (x == 1.0)] = 0.0
-    m = (x > 0.0) & (x < 1.0)
-    xi = x[m]
-    out[m] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
-    return out
+    q = 1.0 - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -x * np.log2(x) - q * np.log2(q)
+    # x q vanishes exactly at x = 0 and x = 1
+    return np.where(x * q == 0.0, 0.0, out)
 
 
 def _ch2(c, x):
@@ -90,13 +89,15 @@ def _ch2(c, x):
 
 
 def _ch2v(c, x):
-    out = np.zeros(np.broadcast(c, x).shape)
-    c = np.broadcast_to(np.asarray(c, dtype=np.float64), out.shape)
-    x = np.broadcast_to(np.asarray(x, dtype=np.float64), out.shape)
+    # c * h2(x/c), 0 where the ratio leaves (0, 1); cells outside get the
+    # ratio 1/2, which keeps log2 off its slow path for 0 and negatives
+    c = np.asarray(c, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     m = (c > 1e-15) & (x > 0.0) & (x < c)
-    r = x[m] / c[m]
-    out[m] = c[m] * (-r * np.log2(r) - (1.0 - r) * np.log2(1.0 - r))
-    return out
+    r = np.divide(x, c, out=np.full(m.shape, 0.5), where=m)
+    q = 1.0 - r
+    out = c * (-r * np.log2(r) - q * np.log2(q))
+    return np.where(m, out, 0.0)
 
 
 def prange_exponent(R):
@@ -107,35 +108,73 @@ def prange_exponent(R):
     return h2(tau) - (1.0 - R) * h2(tau / (1.0 - R))
 
 
-def _dumer_grid(R, tau, levels=4, pts=65):
+def _linspace(lo, hi, num):
+    # np.linspace(lo, hi, num) bit for bit, one row per endpoint pair when
+    # lo and hi are 1-d arrays, without its dispatch overhead
+    ramp = np.arange(num, dtype=np.float64)
+    if not isinstance(lo, np.ndarray):
+        step = (hi - lo) / (num - 1)
+        y = ramp * step if step != 0 else ramp / (num - 1) * (hi - lo)
+        y += lo
+        y[-1] = hi
+        return y
+    lo, hi = lo[:, None], hi[:, None]
+    step = (hi - lo) / (num - 1)
+    # numpy scales by the span instead where the step underflows to zero
+    y = ramp * step if step.all() else np.where(step == 0, ramp / (num - 1) * (hi - lo), ramp * step)
+    y += lo
+    y[:, -1] = hi[:, 0]
+    return y
+
+
+def _dumer_grids(problems, levels=4, pts=65):
     # nested grid refinement over (lam, s) with s the position of omega'
-    # inside its lam-dependent box; returns (alpha, beta, lam, omega')
-    if tau <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    lam_win = (0.0, 1.0 - R)
-    s_win = (0.0, 1.0)
-    best = (INF, 0.0, 0.0, 0.0)
-    h_tau = h2(tau)
+    # inside its lam-dependent box, for every (R, tau) of problems in one
+    # stacked sweep; returns one (alpha, beta, lam, omega') per problem
+    out = [(0.0, 0.0, 0.0, 0.0)] * len(problems)
+    live = [i for i, (_, tau) in enumerate(problems) if tau > 0.0]
+    if not live:
+        return out
+    m = len(live)
+    rows = np.arange(m)
+    R = np.array([problems[i][0] for i in live])[:, None, None]
+    tau = np.array([problems[i][1] for i in live])[:, None, None]
+    h_tau = np.array([h2(problems[i][1]) for i in live])[:, None, None]
+    lam_lo, lam_hi = np.zeros(m), 1.0 - R[:, 0, 0]
+    s_lo, s_hi = np.zeros(m), np.ones(m)
+    best = [(INF, 0.0, 0.0, 0.0)] * m
     for _ in range(levels):
-        lam = np.linspace(lam_win[0], lam_win[1], pts)[:, None]
-        s = np.linspace(s_win[0], s_win[1], pts)[None, :]
-        wlo = np.maximum(R + lam + tau - 1.0, 0.0)
-        whi = np.minimum(tau, R + lam)
-        wp = wlo + s * np.maximum(whi - wlo, 0.0)
-        half = _ch2v(R + lam, wp) / 2.0
-        pi = h_tau - _ch2v(1.0 - R - lam, tau - wp) - 2.0 * half
-        cost = pi + np.maximum(half, 2.0 * half - lam)
+        lam = _linspace(lam_lo, lam_hi, pts)[:, :, None]
+        s = _linspace(s_lo, s_hi, pts)[:, None, :]
+        rl = R + lam
+        wlo = np.maximum(rl + tau - 1.0, 0.0)
+        whi = np.minimum(tau, rl)
+        # both binomial exponents in one call: problems [0, m) the lists,
+        # [m, 2m) the complement
+        w = np.empty((2 * m, pts, pts))
+        wp = np.add(wlo, s * np.maximum(whi - wlo, 0.0), out=w[:m])
+        np.subtract(tau, wp, out=w[m:])
+        ch = _ch2v(np.concatenate([rl, 1.0 - R - lam]), w)
+        half = ch[:m] / 2.0
+        twice = 2.0 * half
+        pi = h_tau - ch[m:] - twice
+        cost = pi + np.maximum(half, twice - lam)
         cost = np.where(whi + 1e-15 < wlo, INF, cost)
-        ij = np.unravel_index(np.argmin(cost), cost.shape)
-        if cost[ij] < best[0]:
-            best = (float(cost[ij]), float(half[ij]), float(lam[ij[0], 0]), float(wp[ij]))
-        span_l = (lam_win[1] - lam_win[0]) / (pts - 1)
-        span_s = (s_win[1] - s_win[0]) / (pts - 1)
-        cl, cs = float(lam[ij[0], 0]), float(s[0, ij[1]])
-        lam_win = (max(0.0, cl - 2.5 * span_l), min(1.0 - R, cl + 2.5 * span_l))
-        s_win = (max(0.0, cs - 2.5 * span_s), min(1.0, cs + 2.5 * span_s))
-    # rounding can leave a cost of order -1e-17 for a tiny positive tau
-    return (max(best[0], 0.0),) + best[1:]
+        k = np.argmin(cost.reshape(m, -1), axis=1)
+        li, si = np.divmod(k, pts)
+        at = k + rows * (pts * pts)
+        cl, cs = lam.take(rows * pts + li), s.take(rows * pts + si)
+        for p, (c, hb, lb, wb) in enumerate(zip(cost.take(at), half.take(at), cl, wp.take(at))):
+            if c < best[p][0]:
+                best[p] = (float(c), float(hb), float(lb), float(wb))
+        span_l = (lam_hi - lam_lo) / (pts - 1)
+        span_s = (s_hi - s_lo) / (pts - 1)
+        lam_lo, lam_hi = np.maximum(0.0, cl - 2.5 * span_l), np.minimum(1.0 - R[:, 0, 0], cl + 2.5 * span_l)
+        s_lo, s_hi = np.maximum(0.0, cs - 2.5 * span_s), np.minimum(1.0, cs + 2.5 * span_s)
+    for i, b in zip(live, best):
+        # rounding can leave a cost of order -1e-17 for a tiny positive tau
+        out[i] = (max(b[0], 0.0),) + b[1:]
+    return out
 
 
 def _dumer_min(R, tau):
@@ -143,7 +182,7 @@ def _dumer_min(R, tau):
     if tau <= 0.0:
         return 0.0, 0.0, max(h2(max(tau, 0.0)) - (1.0 - R), 0.0), {"lam": 0.0, "omega_prime": 0.0}
     nu_sol = max(h2(tau) - (1.0 - R), 0.0)
-    alpha, beta, lam, wp = _dumer_grid(R, tau)
+    alpha, beta, lam, wp = _dumer_grids([(R, tau)])[0]
     return alpha, beta, nu_sol, {"lam": lam, "omega_prime": wp}
 
 
@@ -196,16 +235,22 @@ def _bjmm_min(lam, omega, levels=3, pts=65):
     b_win = (0.0, 1.0)
     best = INF
     for _ in range(levels):
-        a = np.linspace(a_win[0], a_win[1], pts)[:, None]
-        b = np.linspace(b_win[0], b_win[1], pts)[None, :]
+        a = _linspace(a_win[0], a_win[1], pts)[:, None]
+        b = _linspace(b_win[0], b_win[1], pts)[None, :]
         pi2 = omega / 2.0 * (1.0 + a)
-        pi1 = pi2 / 2.0 * (1.0 + b)
-        lam1 = pi2 + (1.0 - pi2) * _h2v((pi1 - pi2 / 2.0) / (1.0 - pi2))
-        lam2 = omega + (1.0 - omega) * _h2v((pi2 - omega / 2.0) / (1.0 - omega))
-        h1 = _h2v(pi1)
+        half2, rest2 = pi2 / 2.0, 1.0 - pi2
+        # entropies two at a time: [representation ratio, weight] per level
+        top = np.empty((2, pts, pts))
+        pi1 = np.multiply(half2, 1.0 + b, out=top[1])
+        np.divide(pi1 - half2, rest2, out=top[0])
+        h_top = _h2v(top)
+        h_low = _h2v(np.stack([(pi2 - omega / 2.0) / (1.0 - omega), pi2]))
+        lam1 = pi2 + rest2 * h_top[0]
+        lam2 = omega + (1.0 - omega) * h_low[0]
+        h1 = h_top[1]
         nu1 = h1 - lam1
-        nu2 = _h2v(pi2) - lam2
-        g = np.maximum(h1 / 2.0, h1 - lam1)
+        nu2 = h_low[1] - lam2
+        g = np.maximum(h1 / 2.0, nu1)
         g = np.maximum(g, np.maximum(nu1, 2 * nu1 - (lam2 - lam1)))
         g = np.maximum(g, np.maximum(nu2, 2 * nu2 - (lam - lam2)))
         feas = (lam1 <= lam2 + 1e-12) & (lam2 <= lam + 1e-12) & np.isfinite(g)
@@ -241,6 +286,7 @@ def bjmm_output_exponent(Rprime, omega):
 
 
 _HALF_GRID = np.linspace(0.0, 0.5, 129)
+_HALF_H2 = _h2v(_HALF_GRID)
 
 
 def _candidate_exponent(R, sigma, tau, mu, omega_bar, tau_bar):
@@ -250,23 +296,37 @@ def _candidate_exponent(R, sigma, tau, mu, omega_bar, tau_bar):
     d1 = min((tau - mu) / sigma, 1.0)
     d2 = min(mu / (1.0 - sigma), 1.0)
     anchor = sigma * kappa_tilde(d1, tau_bar) + (1.0 - sigma) * kappa_tilde(d2, omega_bar)
+    # one kappa pass per level: row 0 the secret side at tau_bar, row 1
+    # the complement at omega_bar; a zero weight ratio gives kappa 0
+    om = np.array([[tau_bar], [omega_bar]])
+    h_om = np.array([[h2(tau_bar)], [h2(omega_bar)]])
+    perp = np.array([[_omega_perp(tau_bar)], [_omega_perp(omega_bar)]])
+    thr = anchor - 1e-12
     zg, eg = _HALF_GRID, _HALF_GRID
     best = 0.0
-    for _ in range(2):
-        ka = sigma * kappa_tilde_many(zg, tau_bar)
-        kb = (1.0 - sigma) * kappa_tilde_many(eg, omega_bar)
-        obj = sigma * _h2v(zg)[:, None] + (1.0 - sigma) * _h2v(eg)[None, :] - (1.0 - R)
-        mask = ka[:, None] + kb[None, :] >= anchor - 1e-12
-        if not mask.any():
+    for level in range(2):
+        t = np.stack([zg, eg])
+        kk = np.where(om == 0, 0.0, _kappa_grid(np.minimum(t, 1.0 - t), om, h_om, perp))
+        ka = sigma * kk[0]
+        kb = (1.0 - sigma) * kk[1]
+        # a rounded sum is monotone in each term, so row i holds an
+        # admissible cell iff it does at the largest kb, and likewise for
+        # columns: only admissible rows and columns are scanned
+        rows = np.flatnonzero(ka + kb.max() >= thr)
+        if rows.size == 0:
             break
-        vals = np.where(mask, obj, -INF)
-        ij = np.unravel_index(np.argmax(vals), vals.shape)
-        best = max(best, float(vals[ij]))
+        cols = np.flatnonzero(ka.max() + kb >= thr)
+        hz = _h2v(zg[rows]) if level else _HALF_H2[rows]
+        he = _h2v(eg[cols]) if level else _HALF_H2[cols]
+        obj = sigma * hz[:, None] + (1.0 - sigma) * he[None, :] - (1.0 - R)
+        vals = np.where(ka[rows][:, None] + kb[cols][None, :] >= thr, obj, -INF)
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        best = max(best, float(vals[i, j]))
         sz = (zg[-1] - zg[0]) / (len(zg) - 1)
         se = (eg[-1] - eg[0]) / (len(eg) - 1)
-        cz, ce = float(zg[ij[0]]), float(eg[ij[1]])
-        zg = np.linspace(max(0.0, cz - 2 * sz), min(0.5, cz + 2 * sz), 33)
-        eg = np.linspace(max(0.0, ce - 2 * se), min(0.5, ce + 2 * se), 33)
+        cz, ce = float(zg[rows[i]]), float(eg[cols[j]])
+        zg = _linspace(max(0.0, cz - 2 * sz), min(0.5, cz + 2 * sz), 33)
+        eg = _linspace(max(0.0, ce - 2 * se), min(0.5, ce + 2 * se), 33)
     return max(best, 0.0)
 
 
@@ -289,9 +349,13 @@ def _drlpn_pieces(R, tau, sigma, R_aux, tau_aux, omega, mu, N_aux):
     )
     nu_cand = _candidate_exponent(R, sigma, tau, mu, omega_bar, tau_bar)
 
-    isd_a = sigma * _dumer_grid(max(1.0 - N_aux * R_aux / sigma, 0.0), min(d1, 0.5), levels=3, pts=33)[0]
+    grid_a, grid_b = _dumer_grids(
+        [(max(1.0 - N_aux * R_aux / sigma, 0.0), min(d1, 0.5)), (max(Rp, 0.0), min(d2, 0.5))],
+        levels=3, pts=33,
+    )
+    isd_a = sigma * grid_a[0]
     nu_isd = max(_ch2(sigma, tau - mu) - N_aux * R_aux, 0.0)
-    isd_b = nu_isd + (1.0 - sigma) * _dumer_grid(max(Rp, 0.0), min(d2, 0.5), levels=3, pts=33)[0]
+    isd_b = nu_isd + (1.0 - sigma) * grid_b[0]
 
     alpha = pi + max(eq, nu_samples, R_aux, N_aux * nu_cand + max(isd_a, isd_b))
 

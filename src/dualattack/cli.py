@@ -181,7 +181,7 @@ def _git_describe():
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 

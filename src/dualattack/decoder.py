@@ -217,7 +217,7 @@ def double_rlpn(instance, params, stats=None):
                                  [params.seed, trial, j])
             ss = build_sample_set(code, part, params.w, aux,
                                   budget=params.sample_budget,
-                                  seed=[params.seed, trial, j, 1])
+                                  seed=[params.seed, trial, j, 1], sf=sf)
             cs = fft_decode(y, ss, aux.code.generator, be.delta,
                             be.htilde_expected)
             if len(cs) == 0:

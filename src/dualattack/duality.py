@@ -353,7 +353,7 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
         raise DomainError("no partition matches the planted split")
     aux = AuxCode.random(params.s, params.k_aux, params.t_aux, [seed, 1])
     ss = build_sample_set(code, part, params.w, aux,
-                          budget=params.sample_budget, seed=[seed, 2])
+                          budget=params.sample_budget, seed=[seed, 2], sf=sf)
     meta = {
         "axis": "score",
         "samples": float(ss.count),

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import dot_parity, pack_rows, wht_inplace
+from ._kernels import dot_parity, pack_rows, row_ints, wht_inplace
 from .codes import as_bits, gf2_inv, gf2_matmul, gf2_rref
 from .errors import DomainError, EmptySamples, InconsistentAux
 
@@ -61,11 +61,8 @@ def index_to_bits(idx, k):
 
 
 def bits_to_index(bits):
-    idx = 0
-    for j, b in enumerate(np.asarray(bits).reshape(-1)):
-        if b:
-            idx |= 1 << j
-    return idx
+    """Coordinate vector to its message index."""
+    return row_ints(np.ravel(bits))[0]
 
 
 def message_decompose(caux, g_aux):
@@ -99,8 +96,8 @@ def build_f(y, samples, g_aux):
     labels = dot_parity(pack_rows(samples.hn), pack_rows(yn)[0]) \
         ^ dot_parity(pack_rows(samples.hp), pack_rows(yp)[0])
     msgs = message_decompose(samples.caux, g_aux)
-    weights = (np.int64(1) << np.arange(k_aux, dtype=np.int64))
-    idx = msgs.astype(np.int64) @ weights
+    # k_aux < 64, since the table has 2^k_aux entries
+    idx = pack_rows(msgs)[:, 0].view(np.int64)
     size = 1 << k_aux
     pos = np.bincount(idx[labels == 0], minlength=size)
     neg = np.bincount(idx[labels == 1], minlength=size)

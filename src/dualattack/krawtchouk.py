@@ -154,20 +154,19 @@ def kappa_tilde_many(taus, omega):
     t = np.minimum(t, 1.0 - t)
     if omega == 0:
         return np.zeros_like(t)
-    out = np.empty_like(t)
-    wp = _omega_perp(omega)
-    mono = t <= wp
-    tm = t[mono]
-    disc = np.maximum((1 - 2 * tm) ** 2 - 4 * omega * (1 - omega), 0.0)
-    z = (1 - 2 * tm - np.sqrt(disc)) / (2 * (1 - omega))
-    val = (1 - tm) * np.log2(1 + z) - omega * np.log2(z)
-    pos = tm > 0
-    val[pos] += tm[pos] * np.log2(1 - z[pos])
-    out[mono] = val
-    to = t[~mono]
-    hv = np.zeros_like(to)
-    inner = (to > 0) & (to < 1)
-    ti = to[inner]
-    hv[inner] = -ti * np.log2(ti) - (1 - ti) * np.log2(1 - ti)
-    out[~mono] = (1 - hv + h2(omega)) / 2
-    return out
+    return _kappa_grid(t, omega, h2(omega), _omega_perp(omega))
+
+
+def _kappa_grid(t, omega, h2_omega, omega_perp):
+    # kappa_tilde on t in [0, 1/2] for omega > 0; omega and its entropy and
+    # branch point broadcast against t, so several omegas share one pass.
+    # Both branches are evaluated everywhere and then selected: cheaper
+    # than masked gathers on the small grids the optimizer passes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.maximum((1 - 2 * t) ** 2 - 4 * omega * (1 - omega), 0.0)
+        z = (1 - 2 * t - np.sqrt(disc)) / (2 * (1 - omega))
+        val = (1 - t) * np.log2(1 + z) - omega * np.log2(z)
+        val = np.where(t > 0, val + t * np.log2(1 - z), val)
+        hv = -t * np.log2(t) - (1 - t) * np.log2(1 - t)
+    hv = np.where((t > 0) & (t < 1), hv, 0.0)
+    return np.where(t <= omega_perp, val, (1 - hv + h2_omega) / 2)

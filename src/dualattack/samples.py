@@ -12,21 +12,13 @@ from math import comb
 import numpy as np
 
 from ._kernels import (_sort_pairs, comb_search_fits, comb_xor_search,
-                       gray_low_weight, pack_rows, unpack_rows)
+                       gray_low_weight, pack_rows, row_ints, unpack_rows)
 from .codes import (LinearCode, Partition, as_bits, gf2_matmul, random_code,
                     systematic_form)
 from .errors import BudgetExceeded, DomainError
 
 SINGLE = "single-random"
 PRODUCT = "product-of-blocks"
-
-
-def _syndrome_key(bits):
-    key = 0
-    for i, b in enumerate(bits):
-        if b:
-            key |= 1 << i
-    return key
 
 
 def build_syndrome_table(code, t_aux, max_patterns=10**7):
@@ -41,8 +33,7 @@ def build_syndrome_table(code, t_aux, max_patterns=10**7):
     for support in itertools.combinations(range(n), t_aux):
         e = np.zeros(n, np.uint8)
         e[list(support)] = 1
-        key = _syndrome_key(code.syndrome(e))
-        buckets.setdefault(key, []).append(e)
+        buckets.setdefault(row_ints(code.syndrome(e))[0], []).append(e)
     return {k: np.array(v, np.uint8) for k, v in buckets.items()}
 
 
@@ -102,8 +93,7 @@ def aux_decode(aux, z):
     if z.size != aux.s:
         raise DomainError("word length differs from s")
     if aux.structure == SINGLE:
-        key = _syndrome_key(aux.code.syndrome(z))
-        pats = aux.syndrome_table.get(key)
+        pats = aux.syndrome_table.get(row_ints(aux.code.syndrome(z))[0])
         if pats is None:
             return np.zeros((0, aux.s), np.uint8)
         return (z[None, :] ^ pats).astype(np.uint8)
@@ -123,9 +113,10 @@ def aux_decode(aux, z):
 
 
 def enumerate_dual_low_weight(code, part, w, strategy="auto",
-                              max_hits=1 << 24):
+                              max_hits=1 << 24, sf=None):
     """All dual words h with |h_N| = w, as (h_n, h_p) uint8 arrays in
-    canonical packed order.
+    canonical packed order.  sf is the systematic form of code against
+    part, computed here when not given.
 
     strategy "gray" sweeps the 2^(n-k) dual words (n - k <= 34) and is
     kept as the reference; "mitm" meets in the middle over the weight
@@ -145,7 +136,8 @@ def enumerate_dual_low_weight(code, part, w, strategy="auto",
         return unpack_rows(hn, nn), unpack_rows(hp, s)
     if strategy != "mitm":
         raise DomainError("unknown strategy %r" % strategy)
-    sf = systematic_form(code, part)
+    if sf is None:
+        sf = systematic_form(code, part)
     idx = comb_xor_search(pack_rows(sf.rprime.T), 0, w, max_hits=max_hits)
     # h_N is the xor of the unit words at idx, h_P that of the rows of R^T
     units = pack_rows(np.eye(nn, dtype=np.uint8))
@@ -184,10 +176,8 @@ class SampleSet:
 def _pair_rows_single(hn, hp, aux):
     # one batched syndrome computation instead of a decode per row
     synd = gf2_matmul(hp, aux.code.parity.T)
-    weights = np.int64(1) << np.arange(synd.shape[1], dtype=np.int64)
-    keys = synd.astype(np.int64) @ weights
     idx, pats = [], []
-    for i, key in enumerate(keys.tolist()):
+    for i, key in enumerate(row_ints(synd)):
         p = aux.syndrome_table.get(key)
         if p is not None:
             idx.append(np.full(p.shape[0], i, np.int64))
@@ -214,10 +204,12 @@ def _pair_rows_generic(hn, hp, aux):
 
 
 def build_sample_set(code, part, w, aux, budget=None, seed=0,
-                     max_hits=1 << 24):
+                     max_hits=1 << 24, sf=None):
     """Enumerate the full pair set; subsample uniformly without
-    replacement when budget is smaller than the full count."""
-    hn, hp = enumerate_dual_low_weight(code, part, w, max_hits=max_hits)
+    replacement when budget is smaller than the full count.  sf, the
+    systematic form of code against part, is passed to the enumeration."""
+    hn, hp = enumerate_dual_low_weight(code, part, w, max_hits=max_hits,
+                                       sf=sf)
     if aux.structure == SINGLE and hn.shape[0]:
         got = _pair_rows_single(hn, hp, aux)
     else:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dualattack import asymptotics as A
 from dualattack.errors import DomainError
-from dualattack.krawtchouk import h2, h2_inv
+from dualattack.krawtchouk import h2, h2_inv, kappa_tilde, kappa_tilde_many
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,70 @@ def test_dumer_argmin_recomputes():
         assert abs(beta - lists) < 1e-9
         assert abs(alpha - (perms + max(lists, 2.0 * lists - lam))) < 1e-9
         assert beta <= alpha + 1e-12
+
+
+def test_linspace_matches_numpy_bitwise():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
+        num = int(rng.integers(2, 130))
+        assert A._linspace(lo, hi, num).tobytes() == np.linspace(lo, hi, num).tobytes()
+        assert A._linspace(lo, lo, num).tobytes() == np.linspace(lo, lo, num).tobytes()
+    # a span so small that the step underflows to zero
+    assert A._linspace(0.0, 5e-324, 65).tobytes() == np.linspace(0.0, 5e-324, 65).tobytes()
+    los = np.array([0.0, 0.1, 0.3, 0.0])
+    his = np.array([0.5, 0.1, 0.9, 5e-324])
+    for row, lo, hi in zip(A._linspace(los, his, 33), los, his):
+        assert row.tobytes() == np.linspace(lo, hi, 33).tobytes()
+
+
+def test_dumer_grids_problems_do_not_interact():
+    probs = [(0.5, 0.11), (0.3, 0.0), (0.2, 0.25), (0.7, 0.05), (1e-9, 0.3)]
+    together = A._dumer_grids(probs, levels=3, pts=33)
+    alone = [A._dumer_grids([p], levels=3, pts=33)[0] for p in probs]
+    assert together == alone
+    assert together[1] == (0.0, 0.0, 0.0, 0.0)
+
+
+def _candidate_full_scan(R, sigma, tau, mu, omega_bar, tau_bar):
+    # reference for _candidate_exponent: the same zoom, scanning every cell
+    d1 = min((tau - mu) / sigma, 1.0)
+    d2 = min(mu / (1.0 - sigma), 1.0)
+    anchor = sigma * kappa_tilde(d1, tau_bar) + (1.0 - sigma) * kappa_tilde(d2, omega_bar)
+    zg = eg = np.linspace(0.0, 0.5, 129)
+    best = 0.0
+    for _ in range(2):
+        ka = sigma * kappa_tilde_many(zg, tau_bar)
+        kb = (1.0 - sigma) * kappa_tilde_many(eg, omega_bar)
+        obj = sigma * A._h2v(zg)[:, None] + (1.0 - sigma) * A._h2v(eg)[None, :] - (1.0 - R)
+        mask = ka[:, None] + kb[None, :] >= anchor - 1e-12
+        if not mask.any():
+            break
+        vals = np.where(mask, obj, -np.inf)
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        best = max(best, float(vals[i, j]))
+        sz = (zg[-1] - zg[0]) / (len(zg) - 1)
+        se = (eg[-1] - eg[0]) / (len(eg) - 1)
+        cz, ce = float(zg[i]), float(eg[j])
+        zg = np.linspace(max(0.0, cz - 2 * sz), min(0.5, cz + 2 * sz), 33)
+        eg = np.linspace(max(0.0, ce - 2 * se), min(0.5, ce + 2 * se), 33)
+    return max(best, 0.0)
+
+
+def test_candidate_scan_matches_full_grid():
+    # scanning only admissible rows and columns must give the same bits
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 300:
+        R = rng.uniform(0.05, 0.95)
+        tau = h2_inv(1.0 - R)
+        sigma = R * rng.uniform(0.05, 1.0)
+        mu = rng.uniform(max(0.0, tau - sigma), min(tau, 1.0 - sigma))
+        omega_bar = rng.uniform(0.0, 0.5) if checked % 10 else 0.0
+        tau_bar = rng.uniform(0.0, 0.5) if checked % 7 else 0.0
+        args = (R, sigma, tau, mu, omega_bar, tau_bar)
+        assert A._candidate_exponent(*args) == _candidate_full_scan(*args), args
+        checked += 1
 
 
 def test_dumer_never_above_prange():

@@ -288,7 +288,7 @@ def test_duality_check_budget_exit(capsys):
 def test_module_entry_point():
     res = subprocess.run([sys.executable, "-m", "dualattack",
                           "krawtchouk", "--n", "4", "--w", "1"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, timeout=120)
     assert res.returncode == 0
     assert res.stdout.splitlines()[0] == "t,value"
 

@@ -4,7 +4,7 @@ from math import comb
 
 from dualattack import codes as C
 from dualattack import samples as S
-from dualattack._kernels import pack_rows, unpack_rows, xor_closure
+from dualattack._kernels import pack_rows, row_ints, unpack_rows, xor_closure
 from dualattack.errors import BudgetExceeded, DomainError, RankDeficient
 
 
@@ -42,7 +42,7 @@ def test_syndrome_table_covers_all_patterns():
     for key, pats in aux.syndrome_table.items():
         assert np.all(pats.sum(axis=1) == 2)
         for p in pats:
-            assert S._syndrome_key(aux.code.syndrome(p)) == key
+            assert row_ints(aux.code.syndrome(p)) == [key]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -164,6 +164,21 @@ def test_pair_count_respects_aux_decode():
     for i in range(hn.shape[0]):
         want += S.aux_decode(aux, hp[i]).shape[0]
     assert ss.count == want
+
+
+def test_pair_paths_agree_on_wide_aux_syndromes():
+    # s - k_aux = 68: each auxiliary syndrome takes two 64-bit words, and
+    # every h_P lies at distance 1 from an auxiliary codeword
+    aux = S.AuxCode.random(70, 2, 1, 3)
+    rng = np.random.default_rng(5)
+    hp = _all_words(aux.code)[rng.integers(0, 4, size=40)]
+    hp[np.arange(40), rng.integers(0, 70, size=40)] ^= 1
+    hn = rng.integers(0, 2, size=(40, 9), dtype=np.uint8)
+    single = S._pair_rows_single(hn, hp, aux)
+    generic = S._pair_rows_generic(hn, hp, aux)
+    assert single[0].shape[0] == generic[0].shape[0] == 40
+    for a, b in zip(single, generic):
+        assert np.array_equal(a, b)
 
 
 def test_mean_pair_count_tracks_expectation():
