@@ -9,16 +9,21 @@ error split with parity-check production, an FFT over the auxiliary
 quotient, candidate filtering and two inner syndrome-decoding stages; it
 is minimized by penalized Nelder-Mead from many starts, and every
 reported point is re-verified against the full constraint list.
+
+The Nelder-Mead here is a numpy port of scipy's, step for step, that
+advances all starts of a search phase together and evaluates the points
+they ask for in one batched objective call, so scipy.optimize is not
+needed.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError
-from .krawtchouk import _kappa_grid, _omega_perp, h2, h2_inv, kappa_tilde
+from .krawtchouk import _h2v, _kappa_grid, _omega_perp, h2, h2_inv, kappa_tilde
 
 INF = math.inf
 
@@ -68,16 +73,6 @@ class ExponentPoint:
     algorithm: str = ""
 
 
-def _h2v(x):
-    # vector entropy; nan outside [0, 1] so callers can mask invalid cells
-    x = np.asarray(x, dtype=np.float64)
-    q = 1.0 - x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -x * np.log2(x) - q * np.log2(q)
-    # x q vanishes exactly at x = 0 and x = 1
-    return np.where(x * q == 0.0, 0.0, out)
-
-
 def _ch2(c, x):
     # c * h2(x/c), the exponent of binomial(c n, x n); continuous 0 at c = 0
     if c <= 1e-15:
@@ -91,13 +86,19 @@ def _ch2(c, x):
 def _ch2v(c, x):
     # c * h2(x/c), 0 where the ratio leaves (0, 1); cells outside get the
     # ratio 1/2, which keeps log2 off its slow path for 0 and negatives
+    # (in place, few buffers: -r log2 r is -(r log2 r) and c y is y c)
     c = np.asarray(c, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     m = (c > 1e-15) & (x > 0.0) & (x < c)
     r = np.divide(x, c, out=np.full(m.shape, 0.5), where=m)
     q = 1.0 - r
-    out = c * (-r * np.log2(r) - q * np.log2(q))
-    return np.where(m, out, 0.0)
+    out = np.log2(r)
+    out *= r
+    np.negative(out, out=out)
+    out -= np.multiply(q, np.log2(q, out=r), out=q)
+    out *= c
+    np.copyto(out, 0.0, where=~m)
+    return out
 
 
 def prange_exponent(R):
@@ -109,15 +110,9 @@ def prange_exponent(R):
 
 
 def _linspace(lo, hi, num):
-    # np.linspace(lo, hi, num) bit for bit, one row per endpoint pair when
-    # lo and hi are 1-d arrays, without its dispatch overhead
+    # np.linspace(lo, hi, num) bit for bit, one row per endpoint pair of
+    # the 1-d arrays lo and hi, without its dispatch overhead
     ramp = np.arange(num, dtype=np.float64)
-    if not isinstance(lo, np.ndarray):
-        step = (hi - lo) / (num - 1)
-        y = ramp * step if step != 0 else ramp / (num - 1) * (hi - lo)
-        y += lo
-        y[-1] = hi
-        return y
     lo, hi = lo[:, None], hi[:, None]
     step = (hi - lo) / (num - 1)
     # numpy scales by the span instead where the step underflows to zero
@@ -135,17 +130,15 @@ def _dumer_grids(problems, levels=4, pts=65):
     live = [i for i, (_, tau) in enumerate(problems) if tau > 0.0]
     if not live:
         return out
-    m = len(live)
-    rows = np.arange(m)
-    R = np.array([problems[i][0] for i in live])[:, None, None]
-    tau = np.array([problems[i][1] for i in live])[:, None, None]
-    h_tau = np.array([h2(problems[i][1]) for i in live])[:, None, None]
-    lam_lo, lam_hi = np.zeros(m), 1.0 - R[:, 0, 0]
-    s_lo, s_hi = np.zeros(m), np.ones(m)
-    best = [(INF, 0.0, 0.0, 0.0)] * m
+    m, rows = len(live), np.arange(len(live))
+    R, tau, h_tau = np.array([problems[i] + (h2(problems[i][1]),) for i in live]).T[:, :, None, None]
+    # windows of lam, then of s, zoomed around each level's best cell
+    top = np.concatenate([1.0 - R[:, 0, 0], np.ones(m)])
+    lo, hi = np.zeros(2 * m), top
+    found = []  # per level: cost, list exponent, lam, omega' of its best cell
     for _ in range(levels):
-        lam = _linspace(lam_lo, lam_hi, pts)[:, :, None]
-        s = _linspace(s_lo, s_hi, pts)[:, None, :]
+        ls = _linspace(lo, hi, pts)
+        lam, s = ls[:m, :, None], ls[m:, None, :]
         rl = R + lam
         wlo = np.maximum(rl + tau - 1.0, 0.0)
         whi = np.minimum(tau, rl)
@@ -161,29 +154,18 @@ def _dumer_grids(problems, levels=4, pts=65):
         cost = pi + np.maximum(half, twice - lam)
         cost = np.where(whi + 1e-15 < wlo, INF, cost)
         k = np.argmin(cost.reshape(m, -1), axis=1)
-        li, si = np.divmod(k, pts)
         at = k + rows * (pts * pts)
-        cl, cs = lam.take(rows * pts + li), s.take(rows * pts + si)
-        for p, (c, hb, lb, wb) in enumerate(zip(cost.take(at), half.take(at), cl, wp.take(at))):
-            if c < best[p][0]:
-                best[p] = (float(c), float(hb), float(lb), float(wb))
-        span_l = (lam_hi - lam_lo) / (pts - 1)
-        span_s = (s_hi - s_lo) / (pts - 1)
-        lam_lo, lam_hi = np.maximum(0.0, cl - 2.5 * span_l), np.minimum(1.0 - R[:, 0, 0], cl + 2.5 * span_l)
-        s_lo, s_hi = np.maximum(0.0, cs - 2.5 * span_s), np.minimum(1.0, cs + 2.5 * span_s)
-    for i, b in zip(live, best):
+        c = ls[np.arange(2 * m), np.concatenate(np.divmod(k, pts))]
+        found.append((cost.take(at), half.take(at), c[:m], wp.take(at)))
+        d = 2.5 * ((hi - lo) / (pts - 1))
+        lo, hi = np.maximum(0.0, c - d), np.minimum(top, c + d)
+    # the earliest level holding the lowest cost
+    found = np.array(found)
+    best = found[np.argmin(found[:, 0], axis=0), :, rows]
+    for i, (c, hb, lb, wb) in zip(live, best.tolist()):
         # rounding can leave a cost of order -1e-17 for a tiny positive tau
-        out[i] = (max(b[0], 0.0),) + b[1:]
+        out[i] = (max(c, 0.0), hb, lb, wb)
     return out
-
-
-def _dumer_min(R, tau):
-    # relaxed-domain Dumer minimizer; accepts R in [0, 1)
-    if tau <= 0.0:
-        return 0.0, 0.0, max(h2(max(tau, 0.0)) - (1.0 - R), 0.0), {"lam": 0.0, "omega_prime": 0.0}
-    nu_sol = max(h2(tau) - (1.0 - R), 0.0)
-    alpha, beta, lam, wp = _dumer_grids([(R, tau)])[0]
-    return alpha, beta, nu_sol, {"lam": lam, "omega_prime": wp}
 
 
 def dumer_exponent(R, tau):
@@ -198,73 +180,56 @@ def dumer_exponent(R, tau):
         raise DomainError("rate outside (0, 1)")
     if not 0 <= tau <= 0.5:
         raise DomainError("tau outside [0, 1/2]")
-    return _dumer_min(R, tau)
-
-
-def _bjmm_gamma(pi1, pi2, lam, omega):
-    """One evaluation of the two-level representation cost stack.
-
-    Returns (gamma, lam1, lam2, ok); ok is membership of the point in
-    the feasible region."""
-    if not (0 <= pi2 < 1 and 0 <= pi1 <= 1 and 0 <= omega < 1):
-        return INF, 0.0, 0.0, False
-    a1 = (pi1 - pi2 / 2.0) / (1.0 - pi2)
-    a2 = (pi2 - omega / 2.0) / (1.0 - omega)
-    if a1 < -1e-12 or a1 > 1 or a2 < -1e-12 or a2 > 1:
-        return INF, 0.0, 0.0, False
-    lam1 = pi2 + (1.0 - pi2) * h2(min(max(a1, 0.0), 1.0))
-    lam2 = omega + (1.0 - omega) * h2(min(max(a2, 0.0), 1.0))
-    nu0 = h2(pi1) / 2.0
-    nu1 = h2(pi1) - lam1
-    nu2 = h2(pi2) - lam2
-    gamma = max(nu0, 2 * nu0 - lam1, nu1, 2 * nu1 - (lam2 - lam1), nu2, 2 * nu2 - (lam - lam2))
-    ok = (
-        pi2 / 2.0 - 1e-12 <= pi1 <= pi2 + 1e-12
-        and omega / 2.0 - 1e-12 <= pi2 <= omega + 1e-12
-        and lam1 <= lam2 + 1e-12
-        and lam2 <= lam + 1e-12
-    )
-    return gamma, lam1, lam2, ok
+    if tau == 0.0:
+        return 0.0, 0.0, 0.0, {"lam": 0.0, "omega_prime": 0.0}
+    alpha, beta, lam, wp = _dumer_grids([(R, tau)])[0]
+    return alpha, beta, max(h2(tau) - (1.0 - R), 0.0), {"lam": lam, "omega_prime": wp}
 
 
 def _bjmm_min(lam, omega, levels=3, pts=65):
-    # grid over (a, b) in [0,1]^2 with pi2 = omega/2 (1+a), pi1 = pi2/2 (1+b)
-    if omega <= 0.0:
-        return 0.0
-    a_win = (0.0, 1.0)
-    b_win = (0.0, 1.0)
-    best = INF
+    # grid over (a, b) in [0,1]^2 with pi2 = omega/2 (1+a), pi1 = pi2/2 (1+b),
+    # zoomed for every (lam, omega) of the two 1-d arrays at once; a
+    # problem stops at the first level with no feasible cell, and one with
+    # omega = 0 costs nothing
+    m, run, alive = omega.size, np.where(omega <= 0.0, 0.0, INF), omega > 0.0
+    lam, omega = lam[:, None, None], omega[:, None, None]
+    half_om, co_om, lam_tol = omega / 2.0, 1.0 - omega, lam + 1e-12
+    lo, hi, rows = np.zeros(2 * m), np.ones(2 * m), np.arange(2 * m)  # a windows, then b
     for _ in range(levels):
-        a = _linspace(a_win[0], a_win[1], pts)[:, None]
-        b = _linspace(b_win[0], b_win[1], pts)[None, :]
-        pi2 = omega / 2.0 * (1.0 + a)
+        if not alive.any():
+            break
+        ab = _linspace(lo, hi, pts)
+        a, b = ab[:m, :, None], ab[m:, None, :]
+        pi2 = half_om * (1.0 + a)
         half2, rest2 = pi2 / 2.0, 1.0 - pi2
-        # entropies two at a time: [representation ratio, weight] per level
-        top = np.empty((2, pts, pts))
-        pi1 = np.multiply(half2, 1.0 + b, out=top[1])
-        np.divide(pi1 - half2, rest2, out=top[0])
-        h_top = _h2v(top)
-        h_low = _h2v(np.stack([(pi2 - omega / 2.0) / (1.0 - omega), pi2]))
-        lam1 = pi2 + rest2 * h_top[0]
-        lam2 = omega + (1.0 - omega) * h_low[0]
-        h1 = h_top[1]
+        # every entropy in one call: [representation ratio, weight] of the
+        # first level over (a, b), then of the second level over a alone
+        arg = np.empty((m, 2, pts * (pts + 1)))
+        top = arg[:, :, pts:].reshape(m, 2, pts, pts)
+        pi1 = np.multiply(half2, 1.0 + b, out=top[:, 1])
+        np.divide(pi1 - half2, rest2, out=top[:, 0])
+        np.divide(pi2[:, :, 0] - half_om[:, 0], co_om[:, 0], out=arg[:, 0, :pts])
+        arg[:, 1, :pts] = pi2[:, :, 0]
+        h = _h2v(arg)
+        h_top = h[:, :, pts:].reshape(m, 2, pts, pts)
+        lam1 = pi2 + rest2 * h_top[:, 0]
+        lam2 = omega + co_om * h[:, 0, :pts, None]
+        h1 = h_top[:, 1]
         nu1 = h1 - lam1
-        nu2 = h_low[1] - lam2
+        nu2 = h[:, 1, :pts, None] - lam2
         g = np.maximum(h1 / 2.0, nu1)
         g = np.maximum(g, np.maximum(nu1, 2 * nu1 - (lam2 - lam1)))
         g = np.maximum(g, np.maximum(nu2, 2 * nu2 - (lam - lam2)))
-        feas = (lam1 <= lam2 + 1e-12) & (lam2 <= lam + 1e-12) & np.isfinite(g)
-        g = np.where(feas, g, INF)
-        ij = np.unravel_index(np.argmin(g), g.shape)
-        if not np.isfinite(g[ij]):
-            return best
-        best = min(best, float(g[ij]))
-        ca, cb = float(a[ij[0], 0]), float(b[0, ij[1]])
-        span_a = (a_win[1] - a_win[0]) / (pts - 1)
-        span_b = (b_win[1] - b_win[0]) / (pts - 1)
-        a_win = (max(0.0, ca - 2.5 * span_a), min(1.0, ca + 2.5 * span_a))
-        b_win = (max(0.0, cb - 2.5 * span_b), min(1.0, cb + 2.5 * span_b))
-    return best
+        feas = (lam1 <= lam2 + 1e-12) & (lam2 <= lam_tol) & np.isfinite(g)
+        g = np.where(feas, g, INF).reshape(m, -1)
+        k = g.argmin(axis=1)
+        gk = g.min(axis=1)
+        run = np.where(alive & (gk < run), gk, run)
+        alive &= gk < INF
+        c = ab[rows, np.concatenate(np.divmod(k, pts))]
+        d = 2.5 * ((hi - lo) / (pts - 1))
+        lo, hi = np.maximum(0.0, c - d), np.minimum(1.0, c + d)
+    return run
 
 
 def bjmm_eq_exponent(Rprime, omega):
@@ -277,7 +242,7 @@ def bjmm_eq_exponent(Rprime, omega):
         raise DomainError("rate outside [0, 1]")
     if not 0 <= omega <= 1:
         raise DomainError("omega outside [0, 1]")
-    return _bjmm_min(Rprime, omega)
+    return float(_bjmm_min(np.array([float(Rprime)]), np.array([float(omega)]))[0])
 
 
 def bjmm_output_exponent(Rprime, omega):
@@ -286,102 +251,99 @@ def bjmm_output_exponent(Rprime, omega):
 
 
 _HALF_GRID = np.linspace(0.0, 0.5, 129)
-_HALF_H2 = _h2v(_HALF_GRID)
+# level 0 of the candidate scan, both sides on one grid, and its entropies
+_HALF_T = np.stack([_HALF_GRID, _HALF_GRID])[None]
+_HALF_H2 = _h2v(_HALF_T)
+_HALF_ZOOM = 2 * ((_HALF_GRID[-1] - _HALF_GRID[0]) / (_HALF_GRID.size - 1))
 
 
-def _candidate_exponent(R, sigma, tau, mu, omega_bar, tau_bar):
-    # best admissible weight-pair population: cells whose Krawtchouk
-    # product magnitude reaches the planted cell's cannot be thresholded
-    # away, and each contributes binomial(s,j) binomial(n-s,i) / 2^(n-k)
-    d1 = min((tau - mu) / sigma, 1.0)
-    d2 = min(mu / (1.0 - sigma), 1.0)
-    anchor = sigma * kappa_tilde(d1, tau_bar) + (1.0 - sigma) * kappa_tilde(d2, omega_bar)
-    # one kappa pass per level: row 0 the secret side at tau_bar, row 1
-    # the complement at omega_bar; a zero weight ratio gives kappa 0
-    om = np.array([[tau_bar], [omega_bar]])
-    h_om = np.array([[h2(tau_bar)], [h2(omega_bar)]])
-    perp = np.array([[_omega_perp(tau_bar)], [_omega_perp(omega_bar)]])
-    thr = anchor - 1e-12
-    zg, eg = _HALF_GRID, _HALF_GRID
-    best = 0.0
+def _candidate_exponent(R, sigma, anchor, om, h_om, perp):
+    # best admissible weight-pair population per problem: cells whose
+    # Krawtchouk product magnitude reaches the planted cell's (anchor)
+    # cannot be thresholded away, and each contributes binomial(s,j)
+    # binomial(n-s,i) / 2^(n-k).  om, h_om, perp are (problems, 2): the
+    # kappa weight, its entropy and its branch point for the secret side
+    # (tau_bar) and the complement (omega_bar); a zero weight gives kappa 0
+    m = sigma.size
+    p = np.arange(m)[:, None]
+    best = np.zeros(m)
+    thr = (anchor - 1e-12)[:, None]
+    om, h_om, perp = om[:, :, None], h_om[:, :, None], perp[:, :, None]
+    sig, cosig = sigma[:, None], (1.0 - sigma)[:, None]
+    # level 0 shares one grid; each level's grid stays inside [0, 1/2],
+    # where min(t, 1 - t) is t
+    grid, h, q = _HALF_T, _HALF_H2, 0  # q picks each problem's grid row
     for level in range(2):
-        t = np.stack([zg, eg])
-        kk = np.where(om == 0, 0.0, _kappa_grid(np.minimum(t, 1.0 - t), om, h_om, perp))
-        ka = sigma * kk[0]
-        kb = (1.0 - sigma) * kk[1]
+        kk = np.where(om == 0, 0.0, _kappa_grid(grid, om, h_om, perp, h))
+        ka = sig * kk[:, 0]
+        kb = cosig * kk[:, 1]
         # a rounded sum is monotone in each term, so row i holds an
         # admissible cell iff it does at the largest kb, and likewise for
-        # columns: only admissible rows and columns are scanned
-        rows = np.flatnonzero(ka + kb.max() >= thr)
-        if rows.size == 0:
-            break
-        cols = np.flatnonzero(ka.max() + kb >= thr)
-        hz = _h2v(zg[rows]) if level else _HALF_H2[rows]
-        he = _h2v(eg[cols]) if level else _HALF_H2[cols]
-        obj = sigma * hz[:, None] + (1.0 - sigma) * he[None, :] - (1.0 - R)
-        vals = np.where(ka[rows][:, None] + kb[cols][None, :] >= thr, obj, -INF)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        best = max(best, float(vals[i, j]))
-        sz = (zg[-1] - zg[0]) / (len(zg) - 1)
-        se = (eg[-1] - eg[0]) / (len(eg) - 1)
-        cz, ce = float(zg[rows[i]]), float(eg[cols[j]])
-        zg = _linspace(max(0.0, cz - 2 * sz), min(0.5, cz + 2 * sz), 33)
-        eg = _linspace(max(0.0, ce - 2 * se), min(0.5, ce + 2 * se), 33)
-    return max(best, 0.0)
+        # columns: only admissible rows and columns are scanned, each
+        # problem's in grid order and padded to the longest list
+        rmask = ka + np.maximum.reduce(kb, axis=1, keepdims=True) >= thr
+        cmask = np.maximum.reduce(ka, axis=1, keepdims=True) + kb >= thr
+        nr = np.add.reduce(rmask, axis=1)
+        ri = np.argsort(~rmask, axis=1, kind="stable")[:, : max(nr.max(), 1)]
+        ci = np.argsort(~cmask, axis=1, kind="stable")[:, : max(np.add.reduce(cmask, axis=1).max(), 1)]
+        obj = (sig * h[q, 0, ri])[:, :, None] + (cosig * h[q, 1, ci])[:, None, :] - (1.0 - R)
+        # padding cells fail the test, their row or column being inadmissible
+        adm = ka[p, ri][:, :, None] + kb[p, ci][:, None, :] >= thr[:, :, None]
+        vals = np.where(adm, obj, -INF).reshape(m, -1)
+        k, v = vals.argmax(axis=1), vals.max(axis=1)
+        if level:
+            # a problem without an admissible cell at level 0 stops there
+            return np.where(alive & (v > best), v, best)
+        best = np.where(v > best, v, best)
+        alive = nr > 0
+        i, j = np.divmod(k, ci.shape[1])
+        c = np.concatenate([_HALF_GRID[ri[p[:, 0], i]], _HALF_GRID[ci[p[:, 0], j]]])
+        lo, hi = np.maximum(0.0, c - _HALF_ZOOM), np.minimum(0.5, c + _HALF_ZOOM)
+        grid = _linspace(lo, hi, 33).reshape(2, m, 33).transpose(1, 0, 2).copy()
+        h, q = _h2v(grid), p
 
 
-def _drlpn_pieces(R, tau, sigma, R_aux, tau_aux, omega, mu, N_aux):
-    # alpha plus the residual list (positive entries are violations),
-    # ordered as RESIDUAL_LABELS
-    omega_bar = omega / (1.0 - sigma)
-    tau_bar = tau_aux / sigma
-    d1 = min((tau - mu) / sigma, 1.0)
-    d2 = min(mu / (1.0 - sigma), 1.0)
-
-    pi = h2(tau) - _ch2(sigma, tau - mu) - _ch2(1.0 - sigma, mu)
-
-    Rp = (R - sigma) / (1.0 - sigma)
-    eq = (1.0 - sigma) * min(_bjmm_min(Rp, omega_bar, pts=33), h2(omega_bar))
-
-    nu_samples = _ch2(1.0 - sigma, omega) + _ch2(sigma, tau_aux) - (R - R_aux)
-    eps_bias = sigma * (kappa_tilde(d1, tau_bar) - h2(tau_bar)) + (1.0 - sigma) * (
-        kappa_tilde(d2, omega_bar) - h2(omega_bar)
-    )
-    nu_cand = _candidate_exponent(R, sigma, tau, mu, omega_bar, tau_bar)
-
-    grid_a, grid_b = _dumer_grids(
-        [(max(1.0 - N_aux * R_aux / sigma, 0.0), min(d1, 0.5)), (max(Rp, 0.0), min(d2, 0.5))],
-        levels=3, pts=33,
-    )
-    isd_a = sigma * grid_a[0]
-    nu_isd = max(_ch2(sigma, tau - mu) - N_aux * R_aux, 0.0)
-    isd_b = nu_isd + (1.0 - sigma) * grid_b[0]
-
-    alpha = pi + max(eq, nu_samples, R_aux, N_aux * nu_cand + max(isd_a, isd_b))
-
-    residuals = [
-        sigma - R,
-        (tau - sigma) - mu,
-        mu - tau,
-        omega - (1.0 - sigma),
-        -sigma,
-        -R_aux,
-        -tau_aux,
-        -omega,
-        -mu,
-        (-2.0 * eps_bias) - nu_samples,
-        (_ch2(1.0 - sigma, omega) + _ch2(sigma, tau_aux)) - R,
-        _ch2(sigma, tau_aux) - (sigma - R_aux),
-    ]
-    parts = {
-        "pi": pi,
-        "eq": eq,
-        "nu_samples": nu_samples,
-        "eps_bias": eps_bias,
-        "nu_cand": nu_cand,
-        "isd": max(isd_a, isd_b),
-    }
-    return alpha, residuals, parts
+def _drlpn_rows(R, tau, rows, N_aux):
+    # (alpha, residuals as RESIDUAL_LABELS, positive if violated) of each
+    # (sigma, R_aux, tau_aux, omega, mu) row.  Per-row terms stay in math,
+    # whose log2 can differ from np.log2 in the last bit; the three grid
+    # minimizations run once over all rows
+    h_tau = h2(tau)
+    glue, eps, probs = [], [], []
+    for sigma, R_aux, tau_aux, omega, mu in rows:
+        omega_bar = omega / (1.0 - sigma)
+        tau_bar = tau_aux / sigma
+        d1 = min((tau - mu) / sigma, 1.0)
+        d2 = min(mu / (1.0 - sigma), 1.0)
+        k1, k2 = kappa_tilde(d1, tau_bar), kappa_tilde(d2, omega_bar)
+        h_tb, h_ob = h2(tau_bar), h2(omega_bar)
+        Rp = (R - sigma) / (1.0 - sigma)
+        glue.append((tau_bar, omega_bar, h_tb, h_ob, _omega_perp(tau_bar), _omega_perp(omega_bar),
+                     sigma, Rp, sigma * k1 + (1.0 - sigma) * k2))
+        eps.append(sigma * (k1 - h_tb) + (1.0 - sigma) * (k2 - h_ob))
+        probs += [(max(1.0 - N_aux * R_aux / sigma, 0.0), min(d1, 0.5)), (max(Rp, 0.0), min(d2, 0.5))]
+    # columns: the two kappa weights, their entropies and branch points,
+    # then sigma, Rp and the planted cell's kappa
+    g = np.array(glue)
+    bjmm = _bjmm_min(g[:, 7], g[:, 1], pts=33).tolist()
+    cand = _candidate_exponent(R, g[:, 6], g[:, 8], g[:, 0:2], g[:, 2:4], g[:, 4:6]).tolist()
+    grids = _dumer_grids(probs, levels=3, pts=33)
+    out = []
+    for i, (sigma, R_aux, tau_aux, omega, mu) in enumerate(rows):
+        eps_bias, h_ob = eps[i], glue[i][3]
+        bet, aux = _ch2(sigma, tau - mu), _ch2(sigma, tau_aux)
+        checks = _ch2(1.0 - sigma, omega) + aux
+        pi = h_tau - bet - _ch2(1.0 - sigma, mu)
+        eq = (1.0 - sigma) * min(bjmm[i], h_ob)
+        nu_samples = checks - (R - R_aux)
+        isd_a = sigma * grids[2 * i][0]
+        nu_isd = max(bet - N_aux * R_aux, 0.0)
+        isd_b = nu_isd + (1.0 - sigma) * grids[2 * i + 1][0]
+        alpha = pi + max(eq, nu_samples, R_aux, N_aux * cand[i] + max(isd_a, isd_b))
+        residuals = [sigma - R, (tau - sigma) - mu, mu - tau, omega - (1.0 - sigma), -sigma, -R_aux, -tau_aux,
+                     -omega, -mu, (-2.0 * eps_bias) - nu_samples, checks - R, aux - (sigma - R_aux)]
+        out.append((alpha, residuals))
+    return out
 
 
 def double_rlpn_objective(R, tau, params):
@@ -409,10 +371,8 @@ def double_rlpn_objective(R, tau, params):
         raise DomainError("bet weight exceeds secret side")
     if params.tau_aux < 0 or params.tau_aux > params.sigma / 2.0:
         raise DomainError("tau_aux outside [0, sigma/2]")
-    alpha, residuals, _ = _drlpn_pieces(
-        R, tau, params.sigma, params.R_aux, params.tau_aux, params.omega, params.mu, params.N_aux
-    )
-    return alpha, residuals
+    row = (params.sigma, params.R_aux, params.tau_aux, params.omega, params.mu)
+    return _drlpn_rows(R, tau, [row], params.N_aux)[0]
 
 
 def _gv_tau_aux(sigma, R_aux):
@@ -420,11 +380,113 @@ def _gv_tau_aux(sigma, R_aux):
 
 
 def _clip_box(x, R, tau):
+    # (sigma, R_aux, tau_aux, omega, mu) of x clipped into the box, tau_aux on its GV bound
     sigma = min(max(x[0], 1e-4), min(R, 1.0 - 1e-4))
     R_aux = min(max(x[1], 1e-6), sigma * (1.0 - 1e-9))
     omega = min(max(x[2], 0.0), (1.0 - sigma) / 2.0)
     mu = min(max(x[3], max(0.0, tau - sigma)), min(tau, 1.0 - sigma))
-    return sigma, R_aux, omega, mu
+    return sigma, R_aux, _gv_tau_aux(sigma, R_aux), omega, mu
+
+
+def _exact(R, tau, N_aux, x):
+    # alpha, residuals and the box-clipped parameters of the search vector x
+    vec = _clip_box(x, R, tau)
+    alpha, residuals = _drlpn_rows(R, tau, [vec], N_aux)[0]
+    return alpha, residuals, vec
+
+
+def _penalized(R, tau, N_aux, X, chain=None):
+    # the search objective at each row x of X: alpha at the clipped point
+    # plus penalties for violated constraints, for d1 past 1/2 and for the
+    # distance clipping moved x (chain, the rows' owners, is unused)
+    X = X.tolist()
+    rows = [_clip_box(x, R, tau) for x in X]
+    drift = [abs(x[0] - v[0]) + abs(x[1] - v[1]) + abs(x[2] - v[3]) + abs(x[3] - v[4])
+             for x, v in zip(X, rows)]
+    vals = []
+    for (alpha, residuals), (sigma, _, _, _, mu), d in zip(_drlpn_rows(R, tau, rows, N_aux), rows, drift):
+        pen = sum(max(0.0, r + 1e-7) for r in residuals)
+        guard = max(0.0, (tau - mu) / sigma - 0.5)
+        vals.append(alpha + 80.0 * (pen + guard) + 100.0 * d)
+    return np.array(vals)
+
+
+def _simplex(x0):
+    # scipy's default initial simplex around each row of x0: vertex k + 1
+    # scales coordinate k by 1.05, or sets it to 0.00025 where it is 0
+    sim, k = np.repeat(x0[:, None, :], x0.shape[1] + 1, axis=1), np.arange(x0.shape[1])
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    return sim
+
+
+def _nelder_mead_chain(sim, maxfev, xatol, fatol, adaptive):
+    # scipy 1.17's _minimize_neldermead line for line as a coroutine that
+    # yields each point it evaluates, is sent its value, and returns
+    # (simplex, values, nfev).  Where scipy's maxfev cut raises out of an
+    # iteration it ends here, so a cut shrink keeps one stale value
+    n = sim.shape[1]
+    rho, chi, psi, sigma = (1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n) if adaptive else (1, 2, 0.5, 0.5)
+    fsim = np.full((n + 1,), INF)
+    nfev = 0
+    for k in range(min(n + 1, maxfev)):
+        fsim[k] = yield sim[k]
+        nfev += 1
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while nfev < maxfev:
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol:
+            if np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = yield xr
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = yield xe
+                nfev += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            outside = fxr < fsim[-1]
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1] if outside else (1 - psi) * xbar + psi * sim[-1]
+            fxc = yield xc
+            nfev += 1
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    if nfev >= maxfev:
+                        break
+                    fsim[j] = yield sim[j]
+                    nfev += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim, fsim, nfev
+
+
+def _nelder_mead(f, chains):
+    """Run Nelder-Mead chains (_nelder_mead_chain coroutines) in lockstep:
+    each round sends every point the live chains ask for to one call
+    f(points, chain) -> values, chain[i] naming the chain of points[i].
+    Returns each chain's (simplex sorted by value, values, nfev); row 0
+    of the simplex is the chain's x."""
+    asks = {i: next(c) for i, c in enumerate(chains)}
+    done = [None] * len(chains)
+    while asks:
+        ids, pts = list(asks), list(asks.values())
+        vals = f(np.array(pts), np.array(ids))
+        asks = {}
+        for i, v in zip(ids, vals):
+            try:
+                asks[i] = chains[i].send(v)
+            except StopIteration as end:
+                done[i] = end.value
+    return done
 
 
 def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
@@ -444,27 +506,7 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
     if N_aux < 1:
         raise DomainError("N_aux below 1")
 
-    def exact(x):
-        sigma, R_aux, omega, mu = _clip_box(x, R, tau)
-        tau_aux = _gv_tau_aux(sigma, R_aux)
-        alpha, residuals, _ = _drlpn_pieces(R, tau, sigma, R_aux, tau_aux, omega, mu, N_aux)
-        return alpha, residuals, (sigma, R_aux, tau_aux, omega, mu)
-
-    def penalized(x):
-        sigma, R_aux, omega, mu = _clip_box(x, R, tau)
-        drift = abs(x[0] - sigma) + abs(x[1] - R_aux) + abs(x[2] - omega) + abs(x[3] - mu)
-        tau_aux = _gv_tau_aux(sigma, R_aux)
-        alpha, residuals, _ = _drlpn_pieces(R, tau, sigma, R_aux, tau_aux, omega, mu, N_aux)
-        pen = sum(max(0.0, r + 1e-7) for r in residuals)
-        guard = max(0.0, (tau - mu) / sigma - 0.5)
-        return alpha + 80.0 * (pen + guard) + 100.0 * drift
-
-    def start_at(sig, R_aux_frac):
-        sig = min(max(sig, 1e-4), min(R, 1.0 - 1e-4))
-        ob = h2_inv(min(max((R - sig) / (1.0 - sig), 0.0), 1.0))
-        return np.array(
-            [sig, R_aux_frac * sig, 0.7 * ob * (1.0 - sig), (1.0 - sig) * tau]
-        )
+    exact, penalized = partial(_exact, R, tau, N_aux), partial(_penalized, R, tau, N_aux)
 
     # competing local basins differ mostly in (sigma, R_aux): sweep a fixed
     # lattice there with a cheap inner search over (omega, mu) so the basin
@@ -478,24 +520,17 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
                     cells.append(np.array([w[0] * fs, w[1] * fr, w[2], w[3]]))
     if not warm or restarts >= 30:
         for fs in (0.3, 0.42, 0.54, 0.66, 0.78, 0.9):
+            sig = min(max(fs * R, 1e-4), min(R, 1.0 - 1e-4))
+            ob = h2_inv(min(max((R - sig) / (1.0 - sig), 0.0), 1.0))
             for fr in (0.2, 0.4, 0.6, 0.8):
-                cells.append(start_at(fs * R, fr))
-
-    ranked = []
-    for c in cells:
-        fixed = c[:2].copy()
-
-        def pen2(y):
-            return penalized(np.array([fixed[0], fixed[1], y[0], y[1]]))
-
-        r2 = minimize(
-            pen2,
-            c[2:].copy(),
-            method="Nelder-Mead",
-            options={"maxfev": 110, "xatol": 1e-7, "fatol": 1e-10},
-        )
-        ranked.append((float(r2.fun), np.array([fixed[0], fixed[1], r2.x[0], r2.x[1]])))
-    ranked.sort(key=lambda t: t[0])
+                cells.append(np.array([sig, fr * sig, 0.7 * ob * (1.0 - sig), (1.0 - sig) * tau]))
+    cells = np.array(cells)
+    ends = _nelder_mead(
+        lambda Y, chain: penalized(np.hstack([cells[chain, :2], Y])),
+        [_nelder_mead_chain(s, 110, 1e-7, 1e-10, False) for s in _simplex(cells[:, 2:])],
+    )
+    ranked = sorted(((fs.min(), np.concatenate([c[:2], s[0]])) for c, (s, fs, _) in zip(cells, ends)),
+                    key=lambda r: r[0])
 
     best_feas = None
     best_any = None
@@ -511,59 +546,33 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
         if worst <= 1e-9 and (best_feas is None or alpha < best_feas[0]):
             best_feas = (alpha, residuals, vec, np.asarray(x, dtype=np.float64))
 
-    for _, x0 in ranked[: min(4, max(restarts, 2))]:
-        res = minimize(
-            penalized,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": 1400, "xatol": 1e-10, "fatol": 1e-13, "adaptive": True},
-        )
-        consider(res.x)
-
+    # refine the best cells in 4-d; seeded random starts run beside them
+    top = np.array([x0 for _, x0 in ranked[: min(4, max(restarts, 2))]])
+    chains = [_nelder_mead_chain(s, 1400, 1e-10, 1e-13, True) for s in _simplex(top)]
     rng = np.random.default_rng([seed, int(round(R * 1e9)), int(round(tau * 1e9)), N_aux])
+    starts = []
     for _ in range(max(0, restarts - len(cells) - 4)):
         sig = R * (0.35 + 0.63 * rng.random())
         R_aux = sig * (0.1 + 0.8 * rng.random())
         omega = (1.0 - sig) / 2.0 * 0.6 * rng.random() ** 1.5
         lo = max(0.0, tau - sig)
         mu = lo + (tau - lo) * (0.3 + 0.7 * rng.random())
-        res = minimize(
-            penalized,
-            np.array([sig, R_aux, omega, mu]),
-            method="Nelder-Mead",
-            options={"maxfev": 200, "xatol": 1e-8, "fatol": 1e-11},
-        )
-        consider(res.x)
+        starts.append([sig, R_aux, omega, mu])
+    chains += [_nelder_mead_chain(s, 200, 1e-8, 1e-11, False)
+               for s in _simplex(np.array(starts).reshape(-1, 4))]
+    for sim, _, _ in _nelder_mead(penalized, chains):
+        consider(sim[0])
 
     # drill into the best basin with shrinking simplexes
     if best_feas is not None:
         for radius in (2e-3, 1e-4):
             x0 = best_feas[3]
             simplex = np.vstack([x0] + [x0 + radius * e for e in np.eye(4)])
-            res = minimize(
-                penalized,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": 800,
-                    "xatol": 1e-11,
-                    "fatol": 1e-14,
-                    "initial_simplex": simplex,
-                    "adaptive": True,
-                },
-            )
-            consider(res.x)
+            consider(_nelder_mead(penalized, [_nelder_mead_chain(simplex, 800, 1e-11, 1e-14, True)])[0][0][0])
 
-    if best_feas is not None:
-        alpha, residuals, (sigma, R_aux, tau_aux, omega, mu), _ = best_feas
-        return ExponentPoint(
-            R, tau, alpha, AsymParams(sigma, R_aux, tau_aux, omega, mu, N_aux), True, residuals,
-            "double-rlpn",
-        )
-    alpha, residuals, (sigma, R_aux, tau_aux, omega, mu) = best_any
+    alpha, residuals, vec = (best_feas or best_any)[:3]
     return ExponentPoint(
-        R, tau, alpha, AsymParams(sigma, R_aux, tau_aux, omega, mu, N_aux), False, residuals,
-        "double-rlpn",
+        R, tau, alpha, AsymParams(*vec, N_aux), best_feas is not None, residuals, "double-rlpn"
     )
 
 
@@ -572,32 +581,20 @@ def _repair(x, R, tau, exact):
     # constraint loosens as mu shrinks, the capacity ones as omega shrinks
     x = np.array(x, dtype=np.float64)
     alpha, residuals, vec = exact(x)
-    sample_r = residuals[RESIDUAL_LABELS.index("sample_bias")]
-    if 0.0 < sample_r < 5e-3:
-        lo = max(0.0, tau - x[0])
-        hi = x[3]
+    for label, i in (("sample_bias", 3), ("list_capacity", 2)):
+        at = RESIDUAL_LABELS.index(label)
+        if not 0.0 < residuals[at] < 5e-3:
+            continue
+        lo, hi = max(0.0, tau - x[0]) if i == 3 else 0.0, x[i]
         for _ in range(50):
             mid = (lo + hi) / 2.0
-            trial = np.array([x[0], x[1], x[2], mid])
-            _, r, _ = exact(trial)
-            if r[RESIDUAL_LABELS.index("sample_bias")] <= -1e-12:
+            trial = x.copy()
+            trial[i] = mid
+            if exact(trial)[1][at] <= -1e-12:
                 lo = mid
             else:
                 hi = mid
-        x[3] = lo
-        alpha, residuals, vec = exact(x)
-    cap_r = residuals[RESIDUAL_LABELS.index("list_capacity")]
-    if 0.0 < cap_r < 5e-3:
-        lo, hi = 0.0, x[2]
-        for _ in range(50):
-            mid = (lo + hi) / 2.0
-            trial = np.array([x[0], x[1], mid, x[3]])
-            _, r, _ = exact(trial)
-            if r[RESIDUAL_LABELS.index("list_capacity")] <= -1e-12:
-                lo = mid
-            else:
-                hi = mid
-        x[2] = lo
+        x[i] = lo
         alpha, residuals, vec = exact(x)
     return x, alpha, residuals, vec, max(residuals)
 
@@ -617,34 +614,25 @@ def exponent_curve(algorithms, R_grid, seed=0, N_aux=1):
             raise DomainError("rate outside (0, 1)")
     out = []
     for alg in algorithms:
-        if alg == "prange":
+        if alg != "double-rlpn":
             for r in grid:
-                tau = h2_inv(1.0 - r)
-                out.append(ExponentPoint(r, tau, prange_exponent(r), None, True, [], alg))
-        elif alg == "dumer":
-            for r in grid:
-                tau = h2_inv(1.0 - r)
-                alpha = dumer_exponent(r, tau)[0]
-                out.append(ExponentPoint(r, tau, alpha, None, True, [], alg))
-        elif alg == "bjmm-eq":
-            for r in grid:
-                w = h2_inv(r)
-                alpha = bjmm_eq_exponent(r, w)
-                out.append(ExponentPoint(r, w, alpha, None, math.isfinite(alpha), [], alg))
-        else:
-            pts = []
-            prev = None
-            for r in grid:
-                warm = None
-                n_starts = 64 if prev is None else 20
-                if prev is not None and prev.argmin is not None:
-                    p = prev.argmin
-                    warm = [np.array([p.sigma, p.R_aux, p.omega, p.mu])]
-                pt = double_rlpn_exponent(r, N_aux=N_aux, restarts=n_starts, seed=seed, warm=warm)
-                pts.append(pt)
-                prev = pt
-            pts = _smooth_curve(pts, seed, N_aux)
-            out.extend(pts)
+                tau = h2_inv(r if alg == "bjmm-eq" else 1.0 - r)
+                if alg == "prange":
+                    alpha = prange_exponent(r)
+                elif alg == "dumer":
+                    alpha = dumer_exponent(r, tau)[0]
+                else:
+                    alpha = bjmm_eq_exponent(r, tau)
+                out.append(ExponentPoint(r, tau, alpha, None, math.isfinite(alpha), [], alg))
+            continue
+        pts = []
+        for r in grid:
+            # each point warm-starts from its predecessor's argmin
+            p = pts[-1].argmin if pts else None
+            warm = None if p is None else [np.array([p.sigma, p.R_aux, p.omega, p.mu])]
+            pts.append(double_rlpn_exponent(r, N_aux=N_aux, restarts=20 if pts else 64, seed=seed,
+                                            warm=warm))
+        out.extend(_smooth_curve(pts, seed, N_aux))
     return out
 
 

@@ -258,9 +258,11 @@ def poisson_statistics(nparams, trials, seed=0, n_samples=None):
     while done < trials:
         m = min(_CHUNK, trials - done)
         nj = rng.poisson(lam=np.broadcast_to(lam_j, (m, lam_j.size)))
-        nij = rng.poisson(lam=nj[:, :, None] * lam_i[None, None, :])
-        out[done:done + m] = (nij * kt[None, :, None]
-                              * kw[None, None, :]).sum(axis=(1, 2)) * scale
+        # a zero mean draws nothing, so rows with nj = 0 are skipped; the
+        # cell sums are integers below 2^53, exact in any order
+        trial, j = np.nonzero(nj)
+        nij = rng.poisson(lam=nj[trial, j][:, None] * lam_i[None, :])
+        out[done:done + m] = np.bincount(trial, (nij @ kw) * kt[j], m) * scale
         done += m
     return out
 

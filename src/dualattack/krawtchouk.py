@@ -154,19 +154,29 @@ def kappa_tilde_many(taus, omega):
     t = np.minimum(t, 1.0 - t)
     if omega == 0:
         return np.zeros_like(t)
-    return _kappa_grid(t, omega, h2(omega), _omega_perp(omega))
+    return _kappa_grid(t, omega, h2(omega), _omega_perp(omega), _h2v(t))
 
 
-def _kappa_grid(t, omega, h2_omega, omega_perp):
-    # kappa_tilde on t in [0, 1/2] for omega > 0; omega and its entropy and
-    # branch point broadcast against t, so several omegas share one pass.
-    # Both branches are evaluated everywhere and then selected: cheaper
-    # than masked gathers on the small grids the optimizer passes
+def _h2v(x):
+    # vector entropy; nan outside [0, 1] so callers can mask invalid cells
+    x = np.asarray(x, dtype=np.float64)
+    q = 1.0 - x
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = np.maximum((1 - 2 * t) ** 2 - 4 * omega * (1 - omega), 0.0)
-        z = (1 - 2 * t - np.sqrt(disc)) / (2 * (1 - omega))
+        out = -x * np.log2(x) - q * np.log2(q)
+    # x q vanishes exactly at x = 0 and x = 1
+    return np.where(x * q == 0.0, 0.0, out)
+
+
+def _kappa_grid(t, omega, h2_omega, omega_perp, h2_t):
+    # kappa_tilde on t in [0, 1/2] for omega > 0, with h2_t the entropy of
+    # t; omega and its entropy and branch point broadcast against t, so
+    # several omegas share one pass.  Both branches are evaluated
+    # everywhere and then selected: cheaper than masked gathers on the
+    # small grids the optimizer passes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = 1 - 2 * t
+        disc = np.maximum(u ** 2 - 4 * omega * (1 - omega), 0.0)
+        z = (u - np.sqrt(disc)) / (2 * (1 - omega))
         val = (1 - t) * np.log2(1 + z) - omega * np.log2(z)
         val = np.where(t > 0, val + t * np.log2(1 - z), val)
-        hv = -t * np.log2(t) - (1 - t) * np.log2(1 - t)
-    hv = np.where((t > 0) & (t < 1), hv, 0.0)
-    return np.where(t <= omega_perp, val, (1 - hv + h2_omega) / 2)
+    return np.where(t <= omega_perp, val, (1 - h2_t + h2_omega) / 2)

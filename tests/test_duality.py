@@ -185,6 +185,31 @@ def test_poisson_statistic_centered():
     assert abs(stats.mean()) <= 4 * se
 
 
+def _poisson_dense(nparams, trials, seed):
+    # the model drawn over every cell of every row, chunk by chunk
+    lam_j, lam_i = DU.model_intensities(nparams)
+    kw = np.array(KrawtchoukTable(nparams.n - nparams.s, nparams.w).values, dtype=np.float64)
+    kt = np.array(KrawtchoukTable(nparams.s, nparams.t_aux).values, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    out = []
+    for done in range(0, trials, DU._CHUNK):
+        m = min(DU._CHUNK, trials - done)
+        nj = rng.poisson(lam=np.broadcast_to(lam_j, (m, lam_j.size)))
+        nij = rng.poisson(lam=nj[:, :, None] * lam_i[None, None, :])
+        out.append((nij * kt[None, :, None] * kw[None, None, :]).sum(axis=(1, 2)))
+    return np.concatenate(out) / 2.0 ** (nparams.k - nparams.k_aux)
+
+
+def test_poisson_statistics_match_dense_draws():
+    # skipping rows with no pairs leaves the random stream and the sums as
+    # they are: a zero mean draws nothing, and the sums are exact integers
+    small = DU.ModelParams(n=24, k=12, t=3, s=10, u=2, w=4, k_aux=5, t_aux=1)
+    desk = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
+    for mp, trials in ((small, DU._CHUNK + 900), (desk, 1500)):
+        for seed in (0, 5, 11):
+            assert np.array_equal(DU.poisson_statistics(mp, trials, seed=seed), _poisson_dense(mp, trials, seed))
+
+
 def test_poisson_subsample_axis():
     mp = DU.ModelParams(n=24, k=12, t=3, s=10, u=2, w=4, k_aux=5, t_aux=1)
     a = DU.poisson_statistics(mp, 2000, seed=9)

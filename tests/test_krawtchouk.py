@@ -176,3 +176,25 @@ def test_kappa_tilde_many_matches_scalar():
         KR.kappa_tilde_many(np.array([0.1, 1.2]), 0.2)
     with pytest.raises(DomainError):
         KR.kappa_tilde_many(np.array([0.1]), 0.7)
+
+
+def _kappa_grid_reference(t, omega):
+    # kappa_tilde on t in [0, 1/2] as one formula, the entropy of t inline
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.maximum((1 - 2 * t) ** 2 - 4 * omega * (1 - omega), 0.0)
+        z = (1 - 2 * t - np.sqrt(disc)) / (2 * (1 - omega))
+        val = (1 - t) * np.log2(1 + z) - omega * np.log2(z)
+        val = np.where(t > 0, val + t * np.log2(1 - z), val)
+        hv = -t * np.log2(t) - (1 - t) * np.log2(1 - t)
+    hv = np.where((t > 0) & (t < 1), hv, 0.0)
+    return np.where(t <= KR._omega_perp(omega), val, (1 - hv + KR.h2(omega)) / 2)
+
+
+def test_kappa_grid_matches_reference_bitwise():
+    # the grid takes the entropy of t from its caller; the bits must not move
+    rng = np.random.default_rng(3)
+    t = np.concatenate([[0.0, 0.5, 5e-324], np.linspace(0.0, 0.5, 129), rng.uniform(0.0, 0.5, 400)])
+    for omega in np.concatenate([[0.5, 1e-9], rng.uniform(0.0, 0.5, 40)]):
+        got = KR._kappa_grid(t, omega, KR.h2(omega), KR._omega_perp(omega), KR._h2v(t))
+        assert got.tobytes() == _kappa_grid_reference(t, omega).tobytes(), omega
+        assert KR.kappa_tilde_many(t, omega).tobytes() == got.tobytes()
