@@ -537,12 +537,13 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
 
     def consider(x):
         nonlocal best_feas, best_any
-        alpha, residuals, vec = exact(x)
+        got = exact(x)
+        alpha, residuals, vec = got
         worst = max(residuals)
         if best_any is None or alpha < best_any[0]:
-            best_any = (alpha, residuals, vec)
+            best_any = got
         if worst > 1e-9:
-            _, alpha, residuals, vec, worst = _repair(x, R, tau, exact)
+            _, alpha, residuals, vec, worst = _repair(x, got, R, tau, exact)
         if worst <= 1e-9 and (best_feas is None or alpha < best_feas[0]):
             best_feas = (alpha, residuals, vec, np.asarray(x, dtype=np.float64))
 
@@ -576,11 +577,12 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
     )
 
 
-def _repair(x, R, tau, exact):
+def _repair(x, got, R, tau, exact):
     # pull a near-feasible optimizer output strictly inside: the sample
-    # constraint loosens as mu shrinks, the capacity ones as omega shrinks
+    # constraint loosens as mu shrinks, the capacity ones as omega shrinks;
+    # got is exact(x), already computed by the caller
     x = np.array(x, dtype=np.float64)
-    alpha, residuals, vec = exact(x)
+    alpha, residuals, vec = got
     for label, i in (("sample_bias", 3), ("list_capacity", 2)):
         at = RESIDUAL_LABELS.index(label)
         if not 0.0 < residuals[at] < 5e-3:

@@ -307,14 +307,7 @@ def _cmd_survival(args):
     poi = poisson_survival(nparams, trials=trials, seed=seed,
                            n_samples=n_samples, grid=shared)
     ind = independence_survival(nparams, n_samples, grid=shared)
-    rows = []
-    for curve in (exp, poi, ind):
-        lo = curve.ci_low if curve.ci_low is not None else [""] * len(
-            curve.thresholds)
-        hi = curve.ci_high if curve.ci_high is not None else [""] * len(
-            curve.thresholds)
-        for t, c, a, b in zip(curve.thresholds, curve.counts, lo, hi):
-            rows.append((curve.label, t, c, a, b))
+    rows = [row for curve in (exp, poi, ind) for row in curve.rows()]
     write_csv(args.out, ["label", "threshold", "count", "ci_low", "ci_high"],
               rows)
     write_metadata(args.out, "survival", seed,

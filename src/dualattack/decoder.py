@@ -17,7 +17,7 @@ from .codes import Partition, as_bits, gf2_matmul, systematic_form
 from .errors import BudgetExceeded, DomainError, RankDeficient
 from .fourier import fft_decode, index_to_bits
 from .krawtchouk import krawtchouk_exact
-from .samples import AuxCode, build_sample_set
+from .samples import AuxCode, build_sample_set, expected_pair_count
 
 
 class DoubleRlpnParams:
@@ -88,11 +88,10 @@ def delta(params, n, k, t):
     expected pair count C(n-s, w) C(s, t_aux) / 2^(k - k_aux)."""
     params.validate(n, k, t)
     s, u, w, t_aux = params.s, params.u, params.w, params.t_aux
-    num = krawtchouk_exact(n - s, w, u) * krawtchouk_exact(s, t_aux, t - u)
-    den = comb(n - s, w) * comb(s, t_aux)
-    d = Fraction(num, den)
-    pairs = Fraction(comb(n - s, w) * comb(s, t_aux), 1 << (k - params.k_aux))
-    return BiasEstimate(d, pairs)
+    d = (Fraction(krawtchouk_exact(n - s, w, u), comb(n - s, w))
+         * Fraction(krawtchouk_exact(s, t_aux, t - u), comb(s, t_aux)))
+    return BiasEstimate(d, expected_pair_count(n, k, s, w, t_aux,
+                                               params.k_aux))
 
 
 def p_succ(n, s, t, u):

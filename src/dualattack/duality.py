@@ -22,9 +22,9 @@ from .decoder import DoubleRlpnParams
 from .errors import BudgetExceeded, DomainError, EmptySamples
 from .fourier import bits_to_index, build_f, wht
 from .krawtchouk import KrawtchoukTable
-from .samples import AuxCode, build_sample_set
+from .samples import AuxCode, build_sample_set, expected_pair_count
 
-CURVE_LABELS = ("experimental", "poisson", "independence", "refined")
+CURVE_LABELS = ("experimental", "poisson", "independence")
 
 _CHUNK = 4096
 
@@ -58,9 +58,8 @@ class ModelParams:
         return delta(p, self.n, self.k, self.t).delta
 
     def expected_pairs(self):
-        return Fraction(comb(self.n - self.s, self.w)
-                        * comb(self.s, self.t_aux),
-                        1 << (self.k - self.k_aux))
+        return expected_pair_count(self.n, self.k, self.s, self.w,
+                                   self.t_aux, self.k_aux)
 
 
 class JointWeightCounts:
@@ -360,9 +359,8 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
         "axis": "score",
         "samples": float(ss.count),
         "complete": bool(ss.complete),
-        "pair_expectation": float(Fraction(
-            comb(code.n - params.s, params.w) * comb(params.s, params.t_aux),
-            1 << (code.k - params.k_aux))),
+        "pair_expectation": float(expected_pair_count(
+            code.n, code.k, params.s, params.w, params.t_aux, params.k_aux)),
     }
     if ss.count == 0:
         thresholds = [0.0] if grid is None else [float(g) for g in grid]

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincc, jv
+from scipy.special import erfc, gammaincc
 
 from .errors import DomainError
 
@@ -74,112 +74,22 @@ def log_gamma_rate(params):
     return log_ball_volume(params.n) - params.log_volume
 
 
-def _bessel_series(nu, x):
-    # ascending series summed exactly; the alternating terms stay small
-    # enough relative to the result only below x ≈ 0.85 nu
-    half = 0.5 * x
-    hh = half * half
-    terms = []
-    c = 1.0
-    biggest = 1.0
-    m = 0
-    while m < 1000:
-        terms.append(c)
-        c *= -hh / ((m + 1.0) * (m + 1.0 + nu))
-        m += 1
-        ac = abs(c)
-        if ac > biggest:
-            biggest = ac
-        elif ac < 1e-22 * biggest:
-            break
-    s = math.fsum(terms)
-    if s == 0.0:
-        return 0.0, -math.inf
-    lead = nu * math.log(half) - math.lgamma(nu + 1.0)
-    return math.copysign(1.0, s), lead + math.log(abs(s))
-
-
-def _bessel_miller(k, x):
-    # downward three-term recurrence from above the turning point,
-    # normalized by J_0(x) + 2 J_2(x) + 2 J_4(x) + ... = 1
-    top = max(k, int(x)) + int(math.sqrt(40.0 * max(k, int(x), 1))) + 2
-    if top % 2:
-        top += 1
-    fp = 0.0
-    f = 1e-290
-    norm = 2.0 * f if top % 2 == 0 else 0.0
-    val = f if top == k else None
-    for m in range(top, 0, -1):
-        fm = (2.0 * m / x) * f - fp
-        fp, f = f, fm
-        idx = m - 1
-        if idx == k:
-            val = fm
-        if idx % 2 == 0:
-            norm += fm if idx == 0 else 2.0 * fm
-        if abs(f) > 1e250:
-            fp *= 1e-250
-            f *= 1e-250
-            norm *= 1e-250
-            if val is not None:
-                val *= 1e-250
-    if val == 0.0 or val is None:
-        return 0.0, -math.inf
-    return math.copysign(1.0, val / norm), math.log(abs(val)) - math.log(abs(norm))
-
-
-def _bessel_hankel(nu, x):
-    # large-argument cosine expansion; only entered when x >> nu^2 so a
-    # handful of terms reach full precision
-    mu = 4.0 * nu * nu
-    p = 1.0
-    q = (mu - 1.0) / (8.0 * x)
-    term = q
-    for j in (2, 3, 4, 5, 6, 7):
-        term *= (mu - (2 * j - 1) ** 2) / (j * 8.0 * x)
-        if j % 2 == 0:
-            p += term if j % 4 == 0 else -term
-        else:
-            q += term if (j - 1) % 4 == 0 else -term
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    v = p * math.cos(chi) - q * math.sin(chi)
-    if v == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, v), 0.5 * math.log(2.0 / (math.pi * x)) + math.log(abs(v))
-
-
-def log_bessel_j(nu, x):
-    """Bessel function of the first kind as (sign, log of magnitude).
+def log_bessel_j(k, xs):
+    """Bessel function J_k of integer order over an array of arguments,
+    as (sign, log of magnitude) arrays.
 
     Ascending series where cancellation is provably mild, downward
-    recurrence with sum normalization otherwise, cosine asymptotics far
-    out on the axis.  The log form survives orders where the value
-    itself under- or overflows a float."""
-    if nu < 0 or x < 0:
-        raise DomainError("need nu >= 0 and x >= 0")
-    if x == 0:
-        return (1.0, 0.0) if nu == 0 else (0.0, -math.inf)
-    if x <= max(0.85 * nu, 2.0):
-        return _bessel_series(nu, x)
-    if x > max(1e4, 50.0 * nu * nu):
-        return _bessel_hankel(nu, x)
-    k = round(nu)
-    if abs(nu - k) < 1e-12:
-        return _bessel_miller(int(k), x)
-    # non-integer order past the series band: the model itself only
-    # needs integer orders, so the library routine covers stragglers
-    v = float(jv(nu, x))
-    if v == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, v), math.log(abs(v))
-
-
-def _bessel_log_many(k, xs):
-    # vectorized (sign, log) of J_k over an array, single integer order;
-    # same series/recurrence split as the scalar path
+    recurrence with sum normalization otherwise.  The log form survives
+    orders where the value itself under- or overflows a float."""
     xs = np.asarray(xs, dtype=np.float64)
+    if k < 0 or k != int(k) or np.any(xs < 0):
+        raise DomainError("need an integer order k >= 0 and x >= 0")
+    k = int(k)
     sign = np.zeros(xs.shape)
     logm = np.full(xs.shape, -np.inf)
+    if k == 0:
+        sign[xs == 0] = 1.0
+        logm[xs == 0] = 0.0
     cut = max(0.85 * k, 2.0)
     ser = (xs > 0) & (xs <= cut)
     if ser.any():
@@ -237,11 +147,11 @@ def floor_value(params, j):
     if not j > 0:
         raise DomainError("distance must be positive")
     n, w = params.n, params.w
-    nu = 0.5 * n - 1.0
-    sign, lj = log_bessel_j(nu, 2.0 * math.pi * w * j)
+    k = n // 2 - 1
+    sign, lj = log_bessel_j(k, [2.0 * math.pi * w * j])
     lead = (math.log(params.N) + 0.5 * math.log(n * math.pi) - 1.0
-            + nu * (math.log(n) - math.log(2.0 * math.pi * math.e * w * j)))
-    return sign, lead + lj
+            + k * (math.log(n) - math.log(2.0 * math.pi * math.e * w * j)))
+    return float(sign[0]), lead + float(lj[0])
 
 
 def _floor_scores(params, log_j):
@@ -251,7 +161,7 @@ def _floor_scores(params, log_j):
     n, w = params.n, params.w
     k = n // 2 - 1
     x = np.exp(math.log(2.0 * math.pi * w) + log_j)
-    sign, lj = _bessel_log_many(k, x)
+    sign, lj = log_bessel_j(k, x)
     lead = (math.log(params.N) + 0.5 * math.log(n * math.pi) - 1.0
             + k * (math.log(n) - math.log(2.0 * math.pi * math.e * w) - log_j))
     return sign * np.exp(np.minimum(lead + lj, 700.0))

@@ -6,19 +6,15 @@ exact radius t_aux through a precomputed syndrome table.
 """
 
 import itertools
-import struct
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 
 from ._kernels import (_sort_pairs, comb_search_fits, comb_xor_search,
                        gray_low_weight, pack_rows, row_ints, unpack_rows)
-from .codes import (LinearCode, Partition, as_bits, gf2_matmul, random_code,
-                    systematic_form)
+from .codes import as_bits, gf2_matmul, random_code, systematic_form
 from .errors import BudgetExceeded, DomainError
-
-SINGLE = "single-random"
-PRODUCT = "product-of-blocks"
 
 
 def build_syndrome_table(code, t_aux, max_patterns=10**7):
@@ -38,14 +34,10 @@ def build_syndrome_table(code, t_aux, max_patterns=10**7):
 
 
 class AuxCode:
-    """An [s, k_aux] code dedicated to re-encoding the P-side.
+    """An [s, k_aux] code dedicated to re-encoding the P-side, decoded at
+    exact radius t_aux through its syndrome table."""
 
-    structure is "single-random" or "product-of-blocks"; the product form
-    concatenates b independent [s/b, k_aux/b] codes and decodes each block
-    at radius t_aux/b.
-    """
-
-    def __init__(self, s, k_aux, t_aux, code, structure=SINGLE, blocks=None):
+    def __init__(self, s, k_aux, t_aux, code):
         if code.n != s or code.k != k_aux:
             raise DomainError("auxiliary code has the wrong parameters")
         if not (0 <= t_aux <= s):
@@ -54,36 +46,11 @@ class AuxCode:
         self.k_aux = k_aux
         self.t_aux = t_aux
         self.code = code
-        self.structure = structure
-        if structure == SINGLE:
-            if blocks is not None:
-                raise DomainError("single structure takes no blocks")
-            self.blocks = None
-            self.syndrome_table = build_syndrome_table(code, t_aux)
-        elif structure == PRODUCT:
-            if not blocks:
-                raise DomainError("product structure needs blocks")
-            self.blocks = list(blocks)
-            self.syndrome_table = None
-        else:
-            raise DomainError("unknown structure %r" % structure)
+        self.syndrome_table = build_syndrome_table(code, t_aux)
 
     @classmethod
     def random(cls, s, k_aux, t_aux, seed):
         return cls(s, k_aux, t_aux, random_code(s, k_aux, seed))
-
-    @classmethod
-    def random_product(cls, s, k_aux, t_aux, b, seed):
-        """b independent blocks; s, k_aux and t_aux must all divide by b."""
-        if s % b or k_aux % b or t_aux % b:
-            raise DomainError("block count must divide s, k_aux and t_aux")
-        blocks = [cls.random(s // b, k_aux // b, t_aux // b, (seed, i))
-                  for i in range(b)]
-        gen = np.zeros((k_aux, s), np.uint8)
-        for i, blk in enumerate(blocks):
-            gen[i * (k_aux // b):(i + 1) * (k_aux // b),
-                i * (s // b):(i + 1) * (s // b)] = blk.code.generator
-        return cls(s, k_aux, t_aux, LinearCode(gen), PRODUCT, blocks)
 
 
 def aux_decode(aux, z):
@@ -92,24 +59,10 @@ def aux_decode(aux, z):
     z = as_bits(z).reshape(-1)
     if z.size != aux.s:
         raise DomainError("word length differs from s")
-    if aux.structure == SINGLE:
-        pats = aux.syndrome_table.get(row_ints(aux.code.syndrome(z))[0])
-        if pats is None:
-            return np.zeros((0, aux.s), np.uint8)
-        return (z[None, :] ^ pats).astype(np.uint8)
-    b = len(aux.blocks)
-    step = aux.s // b
-    per_block = []
-    for i, blk in enumerate(aux.blocks):
-        cands = aux_decode(blk, z[i * step:(i + 1) * step])
-        if cands.shape[0] == 0:
-            return np.zeros((0, aux.s), np.uint8)
-        per_block.append(cands)
-    rows = []
-    for combo in itertools.product(*[range(c.shape[0]) for c in per_block]):
-        rows.append(np.concatenate([per_block[i][j]
-                                    for i, j in enumerate(combo)]))
-    return np.array(rows, np.uint8)
+    pats = aux.syndrome_table.get(row_ints(aux.code.syndrome(z))[0])
+    if pats is None:
+        return np.zeros((0, aux.s), np.uint8)
+    return (z[None, :] ^ pats).astype(np.uint8)
 
 
 def enumerate_dual_low_weight(code, part, w, strategy="auto",
@@ -150,7 +103,7 @@ def enumerate_dual_low_weight(code, part, w, strategy="auto",
 class SampleSet:
     """Pairs (h, c_aux) with |h_N| = w and |h_P + c_aux| = t_aux."""
 
-    def __init__(self, part, w, t_aux, hn, hp, caux, complete, n=None, k=None):
+    def __init__(self, part, w, t_aux, hn, hp, caux, complete, n=None):
         self.part = part
         self.w = w
         self.t_aux = t_aux
@@ -159,7 +112,6 @@ class SampleSet:
         self.caux = as_bits(caux)
         self.complete = complete
         self.n = part.n if n is None else n
-        self.k = k
 
     @property
     def count(self):
@@ -173,7 +125,7 @@ class SampleSet:
         return out
 
 
-def _pair_rows_single(hn, hp, aux):
+def _pair_rows(hn, hp, aux):
     # one batched syndrome computation instead of a decode per row
     synd = gf2_matmul(hp, aux.code.parity.T)
     idx, pats = [], []
@@ -189,20 +141,6 @@ def _pair_rows_single(hn, hp, aux):
     return hn[rep], hp2, hp2 ^ np.concatenate(pats)
 
 
-def _pair_rows_generic(hn, hp, aux):
-    rows_n, rows_p, rows_c = [], [], []
-    for i in range(hn.shape[0]):
-        cands = aux_decode(aux, hp[i])
-        for j in range(cands.shape[0]):
-            rows_n.append(hn[i])
-            rows_p.append(hp[i])
-            rows_c.append(cands[j])
-    if not rows_n:
-        return None
-    return (np.array(rows_n, np.uint8), np.array(rows_p, np.uint8),
-            np.array(rows_c, np.uint8))
-
-
 def build_sample_set(code, part, w, aux, budget=None, seed=0,
                      max_hits=1 << 24, sf=None):
     """Enumerate the full pair set; subsample uniformly without
@@ -210,10 +148,7 @@ def build_sample_set(code, part, w, aux, budget=None, seed=0,
     systematic form of code against part, is passed to the enumeration."""
     hn, hp = enumerate_dual_low_weight(code, part, w, max_hits=max_hits,
                                        sf=sf)
-    if aux.structure == SINGLE and hn.shape[0]:
-        got = _pair_rows_single(hn, hp, aux)
-    else:
-        got = _pair_rows_generic(hn, hp, aux)
+    got = _pair_rows(hn, hp, aux)
     if got is None:
         hn2 = np.zeros((0, code.n - part.s), np.uint8)
         hp2 = np.zeros((0, part.s), np.uint8)
@@ -226,51 +161,10 @@ def build_sample_set(code, part, w, aux, budget=None, seed=0,
         keep = np.sort(rng.choice(hn2.shape[0], size=budget, replace=False))
         hn2, hp2, ca2 = hn2[keep], hp2[keep], ca2[keep]
         complete = False
-    return SampleSet(part, w, aux.t_aux, hn2, hp2, ca2, complete,
-                     n=code.n, k=code.k)
-
-
-_HEADER = struct.Struct("<6Q")
-
-
-def save_sample_set(samples, path):
-    """Header (n, k, s, w, t_aux, count) as little-endian u64, then the
-    P positions as u32, then one packed row of n + s bits per pair
-    (h in original column order, then c_aux)."""
-    if samples.k is None:
-        raise DomainError("sample set lacks the code dimension")
-    n, s = samples.n, samples.part.s
-    h = samples.h_full()
-    rows = np.concatenate([h, samples.caux], axis=1)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(n, samples.k, s, samples.w, samples.t_aux,
-                              samples.count))
-        fh.write(struct.pack("<B", 1 if samples.complete else 0))
-        fh.write(np.asarray(samples.part.ppos, "<u4").tobytes())
-        fh.write(packed.tobytes())
-
-
-def load_sample_set(path):
-    with open(path, "rb") as fh:
-        n, k, s, w, t_aux, count = _HEADER.unpack(fh.read(_HEADER.size))
-        complete = bool(struct.unpack("<B", fh.read(1))[0])
-        ppos = np.frombuffer(fh.read(4 * s), "<u4").astype(np.int64)
-        row_bytes = (n + s + 7) // 8
-        raw = np.frombuffer(fh.read(row_bytes * count), np.uint8)
-    part = Partition(n, ppos)
-    rows = np.unpackbits(raw.reshape(count, row_bytes), axis=1,
-                         bitorder="little")[:, :n + s]
-    h = rows[:, :n]
-    caux = np.ascontiguousarray(rows[:, n:])
-    return SampleSet(part, int(w), int(t_aux),
-                     np.ascontiguousarray(h[:, part.npos]),
-                     np.ascontiguousarray(h[:, part.ppos]),
-                     caux, complete, n=int(n), k=int(k))
+    return SampleSet(part, w, aux.t_aux, hn2, hp2, ca2, complete, n=code.n)
 
 
 def expected_pair_count(n, k, s, w, t_aux, k_aux):
-    """Average number of pairs over random codes, as an exact fraction."""
-    from fractions import Fraction
-
+    """Average number of pairs over random codes, C(n-s, w) C(s, t_aux)
+    / 2^(k - k_aux), as an exact fraction."""
     return Fraction(comb(n - s, w) * comb(s, t_aux), 1 << (k - k_aux))

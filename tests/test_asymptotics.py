@@ -649,6 +649,15 @@ def test_repair_matches_reference():
         [0.29834979423783337, 0.07289171343986495, 0.033637640193968546, 0.12331366437015069],
     ]
     for x in points:
-        got, want = A._repair(x, R, tau, exact), _repair_reference(x, R, tau, exact)
+        seen = []
+
+        def counting(v):
+            seen.append(np.array(v, dtype=np.float64).tobytes())
+            return exact(v)
+
+        got = A._repair(x, exact(x), R, tau, counting)
+        want = _repair_reference(x, R, tau, exact)
         assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:], x
         assert got[0].tobytes() != np.array(x).tobytes()
+        # the caller's exact(x) is reused, not evaluated again
+        assert np.array(x, dtype=np.float64).tobytes() not in seen

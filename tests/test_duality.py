@@ -10,10 +10,10 @@ import pytest
 
 from dualattack import codes as C
 from dualattack import duality as DU
-from dualattack.decoder import DoubleRlpnParams
+from dualattack.decoder import DoubleRlpnParams, delta
 from dualattack.errors import BudgetExceeded, DomainError, EmptySamples
 from dualattack.krawtchouk import KrawtchoukTable
-from dualattack.samples import AuxCode
+from dualattack.samples import AuxCode, expected_pair_count
 
 
 def _instance(seed, n=12, k=6, s=5, k_aux=2, t_aux=1):
@@ -318,8 +318,9 @@ def test_admissible_region_bias_vanishes():
 
 
 def test_survival_curve_type():
-    with pytest.raises(DomainError):
-        DU.SurvivalCurve("bogus", [0.0], [1.0])
+    for label in ("bogus", "refined"):
+        with pytest.raises(DomainError):
+            DU.SurvivalCurve(label, [0.0], [1.0])
     with pytest.raises(DomainError):
         DU.SurvivalCurve("poisson", [1.0, 0.0], [2.0, 1.0])
     with pytest.raises(DomainError):
@@ -346,3 +347,6 @@ def test_model_params_validation():
     mp = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
     assert mp.bias() == Fraction(336, 201376)
     assert mp.expected_pairs() == Fraction(comb(32, 5) * comb(28, 2), 2 ** 10)
+    want = expected_pair_count(60, 30, 28, 5, 2, 20)
+    dp = DoubleRlpnParams(s=28, u=8, w=5, k_aux=20, t_aux=2)
+    assert mp.expected_pairs() == delta(dp, 60, 30, 8).htilde_expected == want

@@ -5,7 +5,7 @@ from math import comb
 from dualattack import codes as C
 from dualattack import samples as S
 from dualattack._kernels import pack_rows, row_ints, unpack_rows, xor_closure
-from dualattack.errors import BudgetExceeded, DomainError, RankDeficient
+from dualattack.errors import BudgetExceeded, RankDeficient
 
 
 def _all_words(code):
@@ -43,25 +43,6 @@ def test_syndrome_table_covers_all_patterns():
         assert np.all(pats.sum(axis=1) == 2)
         for p in pats:
             assert row_ints(aux.code.syndrome(p)) == [key]
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_product_aux_decode(seed):
-    pa = S.AuxCode.random_product(12, 4, 2, b=2, seed=seed)
-    words = _all_words(pa.code)
-    rng = np.random.default_rng(seed)
-    for _ in range(8):
-        z = rng.integers(0, 2, size=12, dtype=np.uint8)
-        got = {tuple(r) for r in S.aux_decode(pa, z)}
-        ref = {tuple(c) for c in words
-               if int(((z[:6] + c[:6]) % 2).sum()) == 1
-               and int(((z[6:] + c[6:]) % 2).sum()) == 1}
-        assert got == ref
-
-
-def test_product_needs_divisibility():
-    with pytest.raises(DomainError):
-        S.AuxCode.random_product(10, 4, 2, b=3, seed=0)
 
 
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 4])
@@ -106,6 +87,10 @@ def test_gray_and_mitm_agree_on_wide_shortened_code():
         assert g_n.shape[0] == count
         assert np.array_equal(g_n, m_n)
         assert np.array_equal(g_p, m_p)
+    # no dual word at w = 3 gives an empty, complete pair set
+    ss = S.build_sample_set(code, part, 3, S.AuxCode.random(s, 4, 1, 0))
+    assert ss.count == 0 and ss.complete
+    assert ss.hn.shape == (0, n - s) and ss.caux.shape == (0, s)
 
 
 def test_enumerate_finds_every_dual_word(seed=6):
@@ -174,10 +159,12 @@ def test_pair_paths_agree_on_wide_aux_syndromes():
     hp = _all_words(aux.code)[rng.integers(0, 4, size=40)]
     hp[np.arange(40), rng.integers(0, 70, size=40)] ^= 1
     hn = rng.integers(0, 2, size=(40, 9), dtype=np.uint8)
-    single = S._pair_rows_single(hn, hp, aux)
-    generic = S._pair_rows_generic(hn, hp, aux)
-    assert single[0].shape[0] == generic[0].shape[0] == 40
-    for a, b in zip(single, generic):
+    got = S._pair_rows(hn, hp, aux)
+    # reference: one aux_decode per row, pairs in row order
+    rows = [(hn[i], hp[i], c) for i in range(40) for c in S.aux_decode(aux, hp[i])]
+    want = [np.array(col, np.uint8) for col in zip(*rows)]
+    assert got[0].shape[0] == want[0].shape[0] == 40
+    for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
@@ -194,47 +181,6 @@ def test_mean_pair_count_tracks_expectation():
     counts = np.array(counts, float)
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - expect) <= 3 * se
-
-
-def test_product_pairs_respect_block_weights():
-    code = C.random_code(16, 9, 5)
-    part = _good_partition(code, 6, 7)
-    aux = S.AuxCode.random_product(6, 2, 2, b=2, seed=13)
-    ss = S.build_sample_set(code, part, 2, aux)
-    if ss.count == 0:
-        pytest.skip("no pairs at this draw")
-    z = (ss.hp + ss.caux) % 2
-    assert np.all(z[:, :3].sum(axis=1) == 1)
-    assert np.all(z[:, 3:].sum(axis=1) == 1)
-
-
-def test_save_load_roundtrip(tmp_path):
-    code = C.random_code(16, 7, 2)
-    part = _good_partition(code, 6, 3)
-    aux = S.AuxCode.random(6, 3, 1, 11)
-    ss = S.build_sample_set(code, part, 3, aux)
-    p = tmp_path / "pairs.bin"
-    S.save_sample_set(ss, p)
-    ld = S.load_sample_set(p)
-    assert ld.count == ss.count
-    assert ld.complete == ss.complete
-    assert ld.n == 16 and ld.k == 7
-    assert ld.w == ss.w and ld.t_aux == ss.t_aux
-    assert np.array_equal(ld.part.ppos, ss.part.ppos)
-    assert np.array_equal(ld.hn, ss.hn)
-    assert np.array_equal(ld.hp, ss.hp)
-    assert np.array_equal(ld.caux, ss.caux)
-
-
-def test_save_is_byte_deterministic(tmp_path):
-    code = C.random_code(12, 6, 9)
-    part = _good_partition(code, 5, 1)
-    aux = S.AuxCode.random(5, 2, 1, 3)
-    ss = S.build_sample_set(code, part, 2, aux)
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    S.save_sample_set(ss, p1)
-    S.save_sample_set(ss, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_subsample_budget_and_determinism():
