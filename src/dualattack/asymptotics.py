@@ -245,11 +245,6 @@ def bjmm_eq_exponent(Rprime, omega):
     return float(_bjmm_min(np.array([float(Rprime)]), np.array([float(omega)]))[0])
 
 
-def bjmm_output_exponent(Rprime, omega):
-    """Exponent of the number of parity checks the search writes out."""
-    return h2(omega) - Rprime
-
-
 _HALF_GRID = np.linspace(0.0, 0.5, 129)
 # level 0 of the candidate scan, both sides on one grid, and its entropies
 _HALF_T = np.stack([_HALF_GRID, _HALF_GRID])[None]

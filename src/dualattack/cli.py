@@ -17,6 +17,7 @@ budget is exceeded or a check fails.
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import subprocess
 import sys
@@ -26,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import ALGORITHMS, exponent_curve
-from .codes import (DecodingInstance, Partition, RankDeficient, random_code,
-                    systematic_form)
+from .codes import DecodingInstance, draw_partition, random_code
 from .decoder import DoubleRlpnParams, double_rlpn
 from .duality import (ModelParams, duality_check, experimental_survival,
                       independence_survival, poisson_survival)
@@ -417,15 +417,7 @@ def _cmd_duality_check(args):
                 f"only {done}/{args.trials} instances had usable samples")
         rng = np.random.default_rng([args.seed, attempt])
         code = random_code(n, k, seed=[args.seed, attempt, 1])
-        part = None
-        for _ in range(200):
-            cand = Partition.random(n, s, rng)
-            try:
-                systematic_form(code, cand)
-                part = cand
-                break
-            except RankDeficient:
-                continue
+        part, _ = draw_partition(code, s, itertools.repeat(rng, 200))
         if part is None:
             attempt += 1
             continue
@@ -478,7 +470,7 @@ def build_parser():
     p.add_argument("--rmin", type=float, required=True)
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--naux", type=int, default=1)
     p.add_argument("--out", default="fig1.csv")
 
@@ -491,7 +483,7 @@ def build_parser():
     p.add_argument("--points", type=int, default=51)
     p.add_argument("--trials", type=int, default=200000)
     p.add_argument("--terms", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", default="curve.csv")
 
     p = sub.add_parser("duality-check",
@@ -501,7 +493,7 @@ def build_parser():
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--kaux", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
 
     return parser
 

@@ -203,27 +203,20 @@ def systematic_form(code, part):
     return SystematicForm(part, r[:s, s:].copy(), r[s:, s:].copy())
 
 
-def puncture(code, keep):
-    """Restriction of all codewords to the kept positions."""
-    keep = np.asarray(keep, dtype=np.int64)
-    g = code.generator[:, keep]
-    rr, pivots = gf2_rref(g)
-    basis = rr[: len(pivots)]
-    if len(pivots) == 0:
-        raise RankDeficient("punctured code is trivial")
-    return LinearCode(basis)
-
-
-def shorten(code, keep):
-    """Codewords vanishing outside keep, restricted to keep."""
-    keep = np.asarray(keep, dtype=np.int64)
-    mask = np.ones(code.n, dtype=bool)
-    mask[keep] = False
-    away = np.nonzero(mask)[0]
-    coeff = gf2_nullspace(code.generator[:, away].T)
-    if coeff.shape[0] == 0:
-        raise RankDeficient("shortened code is trivial")
-    return LinearCode(gf2_matmul(coeff, code.generator[:, keep]))
+def draw_partition(code, s, rngs, accept=None):
+    """Draw one partition from each generator in rngs until one passes
+    accept (when given) and has P-columns of full rank s.  Returns the
+    partition and its systematic form, or (None, None) when rngs runs
+    out."""
+    for rng in rngs:
+        part = Partition.random(code.n, s, rng)
+        if accept is not None and not accept(part):
+            continue
+        try:
+            return part, systematic_form(code, part)
+        except RankDeficient:
+            continue
+    return None, None
 
 
 def random_code(n, k, seed):

@@ -13,8 +13,8 @@ from math import ceil, comb
 import numpy as np
 
 from ._kernels import comb_xor_search, pack_rows
-from .codes import Partition, as_bits, gf2_matmul, systematic_form
-from .errors import BudgetExceeded, DomainError, RankDeficient
+from .codes import as_bits, draw_partition, gf2_matmul, systematic_form
+from .errors import BudgetExceeded, DomainError
 from .fourier import fft_decode, index_to_bits
 from .krawtchouk import krawtchouk_exact
 from .samples import AuxCode, build_sample_set, expected_pair_count
@@ -67,21 +67,6 @@ class BiasEstimate:
         self.delta = Fraction(delta)
         self.htilde_expected = Fraction(htilde_expected)
 
-    def constraint_report(self, n, alpha):
-        """Whether the expected pair count reaches n^alpha / delta^2,
-        compared in log2 to tolerate fractional alpha."""
-        import math
-
-        if self.delta == 0:
-            return {"satisfied": False, "log2_pairs": None, "log2_required": None}
-        log2_pairs = math.log2(self.htilde_expected)
-        log2_required = alpha * math.log2(n) - 2 * math.log2(abs(self.delta))
-        return {
-            "satisfied": log2_pairs >= log2_required,
-            "log2_pairs": log2_pairs,
-            "log2_required": log2_required,
-        }
-
 
 def delta(params, n, k, t):
     """Bias K_w(u) K_t_aux(t-u) over the binomials, sign kept, and the
@@ -109,7 +94,7 @@ def default_n_iter(p):
     return int(ceil(Fraction(8) / Fraction(p)))
 
 
-def syndrome_decode_all(parity, syndrome, t, max_hits=1 << 22):
+def syndrome_decode_all(parity, syndrome, t):
     """Every word e with parity e^T = syndrome and |e| = t, in canonical
     support order, by the subset-xor kernel over the parity columns."""
     parity = as_bits(np.atleast_2d(parity))
@@ -119,8 +104,7 @@ def syndrome_decode_all(parity, syndrome, t, max_hits=1 << 22):
         raise DomainError("syndrome length differs from parity rows")
     if t < 0 or t > ncols:
         return []
-    idx = comb_xor_search(pack_rows(parity.T), pack_rows(syndrome)[0], t,
-                          max_hits=max_hits)
+    idx = comb_xor_search(pack_rows(parity.T), pack_rows(syndrome)[0], t)
     out = np.zeros((idx.shape[0], ncols), np.uint8)
     out[np.arange(idx.shape[0])[:, None], idx] = 1
     return list(out)
@@ -200,14 +184,7 @@ def double_rlpn(instance, params, stats=None):
         if stats is not None:
             stats["trials_used"] = trial + 1
         rng = np.random.default_rng([params.seed, trial])
-        sf = None
-        for _ in range(200):
-            part = Partition.random(n, params.s, rng)
-            try:
-                sf = systematic_form(code, part)
-                break
-            except RankDeficient:
-                continue
+        part, sf = draw_partition(code, params.s, itertools.repeat(rng, 200))
         if sf is None:
             continue
         cand_sets, g_list = [], []

@@ -16,8 +16,7 @@ from math import comb
 import numpy as np
 
 from ._kernels import pack_rows, popcount_rows, xor_closure
-from .codes import (Partition, RankDeficient, as_bits, gf2_matmul,
-                    systematic_form)
+from .codes import as_bits, draw_partition, gf2_matmul, systematic_form
 from .decoder import DoubleRlpnParams
 from .errors import BudgetExceeded, DomainError, EmptySamples
 from .fourier import bits_to_index, build_f, wht
@@ -70,13 +69,6 @@ class JointWeightCounts:
         self.counts = np.asarray(counts, dtype=np.int64)
         if self.counts.ndim != 2 or (self.counts < 0).any():
             raise DomainError("counts must be a non-negative matrix")
-
-    @property
-    def dims(self):
-        return self.counts.shape
-
-    def total(self):
-        return int(self.counts.sum())
 
     def n_side_marginal(self):
         """N_i: counts summed over the small-side weight."""
@@ -181,8 +173,9 @@ class SurvivalCurve:
             yield self.label, t, c, lo, hi
 
 
-def wilson_interval(hits, trials, z=1.959963984540054):
+def wilson_interval(hits, trials):
     """95% score interval for a binomial proportion."""
+    z = 1.959963984540054
     if trials <= 0:
         raise DomainError("need at least one trial")
     p = hits / trials
@@ -193,16 +186,17 @@ def wilson_interval(hits, trials, z=1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _threshold_grid(values, grid, max_points=512):
+def _threshold_grid(values, grid):
+    # at most 512 natural thresholds, taken at quantiles of the values
     if grid is not None:
         g = [float(t) for t in grid]
         if sorted(g) != g:
             raise DomainError("threshold grid must ascend")
         return g
     uniq = np.unique(values)
-    if uniq.size <= max_points:
+    if uniq.size <= 512:
         return uniq.tolist()
-    qs = np.linspace(0.0, 1.0, max_points)
+    qs = np.linspace(0.0, 1.0, 512)
     return np.unique(np.quantile(uniq, qs, method="nearest")).tolist()
 
 
@@ -244,10 +238,8 @@ def poisson_statistics(nparams, trials, seed=0, n_samples=None):
     """
     np_ = nparams
     lam_j, lam_i = model_intensities(nparams)
-    kw = np.array(KrawtchoukTable(np_.n - np_.s, np_.w).values,
-                  dtype=np.float64)
-    kt = np.array(KrawtchoukTable(np_.s, np_.t_aux).values,
-                  dtype=np.float64)
+    kw = KrawtchoukTable(np_.n - np_.s, np_.w).as_float()
+    kt = KrawtchoukTable(np_.s, np_.t_aux).as_float()
     scale = 1.0 / 2.0 ** (np_.k - np_.k_aux)
     if n_samples is not None:
         scale *= float(n_samples) / float(np_.expected_pairs())
@@ -336,20 +328,10 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
         raise DomainError("experimental curve needs the planted error")
     params.validate(code.n, code.k, t)
     e = as_bits(instance.planted_e).reshape(-1)
-    part = None
-    sf = None
-    for tries in range(10000):
-        rng = np.random.default_rng([seed, tries])
-        cand = Partition.random(code.n, params.s, rng)
-        _, en = cand.split(e)
-        if int(en.sum()) != params.u:
-            continue
-        try:
-            sf = systematic_form(code, cand)
-        except RankDeficient:
-            continue
-        part = cand
-        break
+    part, sf = draw_partition(
+        code, params.s,
+        (np.random.default_rng([seed, tries]) for tries in range(10000)),
+        accept=lambda cand: int(cand.split(e)[1].sum()) == params.u)
     if part is None:
         raise DomainError("no partition matches the planted split")
     aux = AuxCode.random(params.s, params.k_aux, params.t_aux, [seed, 1])

@@ -11,15 +11,18 @@ import numpy as np
 
 from ._kernels import dot_parity, pack_rows, row_ints, wht_inplace
 from .codes import as_bits, gf2_inv, gf2_matmul, gf2_rref
-from .errors import DomainError, EmptySamples, InconsistentAux
+from .errors import BudgetExceeded, DomainError, InconsistentAux
 
 
 class FourierTable:
-    """Signed integer table over the 2^k_aux auxiliary messages.
+    """Signed integer table over the 2^k_aux auxiliary messages, at most
+    2^26 of them (512 MiB of int64).
 
     Index bit j is coordinate j of the message vector."""
 
     def __init__(self, k_aux, values=None):
+        if k_aux > 26:
+            raise BudgetExceeded("score table capped at 2^26 entries")
         self.k_aux = k_aux
         if values is None:
             values = np.zeros(1 << k_aux, np.int64)
@@ -110,13 +113,6 @@ def wht(table):
     by 2^k_aux.  Returns the same object."""
     wht_inplace(table.values)
     return table
-
-
-def bias_from_fhat(fhat, u, count):
-    """Exact empirical bias of candidate u from a transformed table."""
-    if count == 0:
-        raise EmptySamples("no pairs behind the statistic")
-    return Fraction(int(fhat.values[u]), count)
 
 
 def fft_decode(y, samples, g_aux, delta, htilde_expected):

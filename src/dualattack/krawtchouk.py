@@ -94,21 +94,11 @@ def h2_inv(v):
     return (lo + hi) / 2
 
 
-class KappaPoint:
-    """kappa_tilde at one ratio pair, with the active branch recorded."""
-
-    def __init__(self, tau, omega, value, branch):
-        self.tau = tau
-        self.omega = omega
-        self.value = value
-        self.branch = branch
-
-
 def _omega_perp(omega):
     return 0.5 - math.sqrt(omega * (1 - omega))
 
 
-def kappa_point(tau, omega):
+def kappa_tilde(tau, omega):
     """Normalized exponent of |K_{omega n}(tau n)| for large n.
 
     Monotone branch on tau <= omega_perp = 1/2 - sqrt(omega (1 - omega))
@@ -122,29 +112,22 @@ def kappa_point(tau, omega):
     if tau > 0.5:
         tau = 1.0 - tau
     if omega == 0:
-        return KappaPoint(tau, omega, 0.0, "monotone")
-    wp = _omega_perp(omega)
-    if tau <= wp:
+        return 0.0
+    if tau <= _omega_perp(omega):
         disc = (1 - 2 * tau) ** 2 - 4 * omega * (1 - omega)
         disc = max(disc, 0.0)
         z = (1 - 2 * tau - math.sqrt(disc)) / (2 * (1 - omega))
         val = (1 - tau) * math.log2(1 + z) - omega * math.log2(z)
         if tau > 0:
             val += tau * math.log2(1 - z)
-        return KappaPoint(tau, omega, val, "monotone")
-    val = (1 - h2(tau) + h2(omega)) / 2
-    return KappaPoint(tau, omega, val, "oscillatory")
-
-
-def kappa_tilde(tau, omega):
-    """Value of the Krawtchouk exponent at the ratio pair (tau, omega)."""
-    return kappa_point(tau, omega).value
+        return val
+    return (1 - h2(tau) + h2(omega)) / 2
 
 
 def kappa_tilde_many(taus, omega):
     """Vectorized kappa_tilde over an array of evaluation points.
 
-    Same branch structure as kappa_point with a fixed omega; used by the
+    Same branch structure as kappa_tilde with a fixed omega; used by the
     asymptotic optimizer where per-call scalar dispatch is too slow."""
     if not (0 <= omega <= 0.5):
         raise DomainError("omega outside [0, 1/2]")

@@ -183,33 +183,6 @@ def gamma_survival(k, theta, alpha):
     return float(gammaincc(int(k) + 1, ta))
 
 
-def sample_vector_lengths(params, count, seed=0, terms=1):
-    """iid draws of the first `terms` nonzero vector lengths (j_0, ...)
-    under the ball-count model; rows are sorted by construction."""
-    if count < 1 or terms < 1:
-        raise DomainError("count and terms must be >= 1")
-    rng = np.random.default_rng([seed, params.n, terms])
-    arrivals = np.cumsum(rng.exponential(1.0, (count, terms)), axis=1)
-    return np.exp((np.log(arrivals) - log_gamma_rate(params)) / params.n)
-
-
-def gaussian_heuristic_expect(n, log_volume, x):
-    """log expected lattice-point count in a radius-x ball, in the
-    Stirling convention (x / (sqrt(n/2 pi e) (pi n)^{1/n} V^{1/n}))^n.
-
-    The exact Gamma-form count is log_ball_volume(n) + n log x - log V.
-    This convention carries (pi n)^{1/n} inside the n-th power where
-    Stirling only produces its square root, so it sits below the exact
-    count by 0.5 log(pi n) - c_n with c_n in (1/(6n+1), 1/(6n)).  The
-    shortest-length rate always uses the exact form."""
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
-    if not x > 0:
-        raise DomainError("radius must be positive")
-    return (n * math.log(x) - 0.5 * n * math.log(n / (2.0 * math.pi * math.e))
-            - math.log(math.pi * n) - log_volume)
-
-
 @dataclass(frozen=True)
 class SurvivalCurve:
     thresholds: np.ndarray
@@ -228,8 +201,7 @@ def _strata():
     return pairs
 
 
-def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1,
-                     fall_scale=1.0):
+def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     """Monte-Carlo survival curves of the dual-attack score.
 
     Draws the closest-vector contribution by stratified sampling of the
@@ -237,14 +209,11 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1,
     closed form per sample, and reports three curves: the convolution
     ("refined"), the closest-vector part alone ("floor"), and the
     independence-assumption Gaussian alone ("independence"), each with a
-    95% band.  shortest_terms > 1 adds later arrivals to the floor sum;
-    fall_scale = 0 switches the bulk off, collapsing refined onto floor."""
+    95% band.  shortest_terms > 1 adds later arrivals to the floor sum."""
     if mc_trials < 10 ** 5:
         raise DomainError("need at least 1e5 trials")
     if shortest_terms < 1:
         raise DomainError("shortest_terms must be >= 1")
-    if fall_scale < 0:
-        raise DomainError("fall_scale must be nonnegative")
     t = np.asarray(grid, dtype=np.float64)
     if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
         raise DomainError("threshold grid must be 1-d and finite")
@@ -253,7 +222,7 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1,
 
     rng = np.random.default_rng([seed, params.n, params.N, shortest_terms])
     log_theta = log_gamma_rate(params)
-    sigma = math.sqrt(0.5 * params.N) * fall_scale
+    sigma = math.sqrt(0.5 * params.N)
     pairs = _strata()
     base = mc_trials // len(pairs)
 
@@ -278,23 +247,16 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1,
             x_floor = x_floor + _floor_scores(params, (np.log(u) - log_theta) / params.n)
 
         hit = x_floor[:, None] >= t[None, :]
-        if sigma > 0:
-            q = 0.5 * erfc((t[None, :] - x_floor[:, None]) / (sigma * math.sqrt(2.0)))
-        else:
-            q = hit.astype(np.float64)
+        q = 0.5 * erfc((t[None, :] - x_floor[:, None]) / (sigma * math.sqrt(2.0)))
         ref += scale * q.mean(axis=0)
         ref_var += scale * scale * q.var(axis=0) / base
         flo += scale * hit.mean(axis=0)
         flo_var += scale * scale * np.asarray(hit, dtype=np.float64).var(axis=0) / base
 
-    ind = 0.5 * erfc(t / math.sqrt(params.N)) if params.N > 0 else np.zeros(len(t))
-    if fall_scale != 1.0:
-        ind = (0.5 * erfc(t / (sigma * math.sqrt(2.0))) if sigma > 0
-               else (0.0 >= t).astype(np.float64))
     curves = {
         "refined": np.clip(ref, 0.0, 1.0),
         "floor": np.clip(flo, 0.0, 1.0),
-        "independence": ind,
+        "independence": 0.5 * erfc(t / math.sqrt(params.N)),
     }
     half = {
         "refined": 1.96 * np.sqrt(ref_var),
@@ -307,9 +269,8 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1,
         "seed": seed,
         "mc_trials": base * len(pairs),
         "shortest_terms": shortest_terms,
-        "fall_scale": fall_scale,
         "threshold_units": "raw score",
         "log_theta": log_theta,
-        "sigma": math.sqrt(0.5 * params.N),
+        "sigma": sigma,
     }
     return SurvivalCurve(t, curves, lo, hi, meta)

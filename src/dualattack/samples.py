@@ -17,13 +17,14 @@ from .codes import as_bits, gf2_matmul, random_code, systematic_form
 from .errors import BudgetExceeded, DomainError
 
 
-def build_syndrome_table(code, t_aux, max_patterns=10**7):
-    """Bucket every weight-t_aux error pattern by its syndrome.
+def build_syndrome_table(code, t_aux):
+    """Bucket every weight-t_aux error pattern by its syndrome, refusing
+    more than 10^7 patterns.
 
     Keys are syndrome integers (bit i of the key is syndrome coordinate i),
     values are (m, n) uint8 arrays in lexicographic support order."""
     n = code.n
-    if comb(n, t_aux) > max_patterns:
+    if comb(n, t_aux) > 10**7:
         raise BudgetExceeded("too many weight-%d patterns" % t_aux)
     buckets = {}
     for support in itertools.combinations(range(n), t_aux):
@@ -65,30 +66,24 @@ def aux_decode(aux, z):
     return (z[None, :] ^ pats).astype(np.uint8)
 
 
-def enumerate_dual_low_weight(code, part, w, strategy="auto",
-                              max_hits=1 << 24, sf=None):
+def enumerate_dual_low_weight(code, part, w, max_hits=1 << 24, sf=None):
     """All dual words h with |h_N| = w, as (h_n, h_p) uint8 arrays in
     canonical packed order.  sf is the systematic form of code against
     part, computed here when not given.
 
-    strategy "gray" sweeps the 2^(n-k) dual words (n - k <= 34) and is
-    kept as the reference; "mitm" meets in the middle over the weight
-    split of h_N against the shortened-code parity condition
-    h_N Rprime^T = 0, then sets h_P = h_N R^T.  "auto" takes mitm whenever
-    comb_xor_search can build its subset tables, and gray otherwise."""
+    Meets in the middle over the weight split of h_N against the
+    shortened-code parity condition h_N Rprime^T = 0, then sets
+    h_P = h_N R^T, whenever comb_xor_search can build its subset tables;
+    otherwise sweeps the 2^(n-k) dual words in Gray order (n - k <= 34)."""
     s = part.s
     nn = code.n - s
-    if strategy == "auto":
-        strategy = "mitm" if comb_search_fits(nn, w) else "gray"
-    if strategy == "gray":
+    if not comb_search_fits(nn, w):
         if code.n - code.k > 34:
             raise BudgetExceeded("gray sweep capped at 2^34 dual words")
         hn, hp = gray_low_weight(pack_rows(code.parity[:, part.npos]),
                                  pack_rows(code.parity[:, part.ppos]),
                                  w, max_hits=max_hits)
         return unpack_rows(hn, nn), unpack_rows(hp, s)
-    if strategy != "mitm":
-        raise DomainError("unknown strategy %r" % strategy)
     if sf is None:
         sf = systematic_form(code, part)
     idx = comb_xor_search(pack_rows(sf.rprime.T), 0, w, max_hits=max_hits)
@@ -141,13 +136,11 @@ def _pair_rows(hn, hp, aux):
     return hn[rep], hp2, hp2 ^ np.concatenate(pats)
 
 
-def build_sample_set(code, part, w, aux, budget=None, seed=0,
-                     max_hits=1 << 24, sf=None):
+def build_sample_set(code, part, w, aux, budget=None, seed=0, sf=None):
     """Enumerate the full pair set; subsample uniformly without
     replacement when budget is smaller than the full count.  sf, the
     systematic form of code against part, is passed to the enumeration."""
-    hn, hp = enumerate_dual_low_weight(code, part, w, max_hits=max_hits,
-                                       sf=sf)
+    hn, hp = enumerate_dual_low_weight(code, part, w, sf=sf)
     got = _pair_rows(hn, hp, aux)
     if got is None:
         hn2 = np.zeros((0, code.n - part.s), np.uint8)

@@ -109,6 +109,15 @@ def test_decode_inconsistent_params_exit_2(tmp_path, capsys):
     assert cli.run(["decode", "--config", str(cfg)]) == 2
 
 
+def test_decode_score_table_budget_exit_1(tmp_path, capsys):
+    # k_aux = 40 would need a 2^40-entry score table (8 TiB)
+    cfg = tmp_path / "dec.ini"
+    cfg.write_text("[instance]\nn = 48\nk = 44\nt = 1\n"
+                   "[params]\ns = 42\nu = 0\nw = 1\nk_aux = 40\nt_aux = 1\n")
+    assert cli.run(["decode", "--config", str(cfg)]) == 1
+    assert "score table" in capsys.readouterr().err
+
+
 SURV_INI = """\
 [model]
 n = 24
@@ -269,6 +278,20 @@ def test_lattice_score_flag_conflicts(tmp_path, capsys):
                     "--config", str(cfg)]) == 2
     assert cli.run(["lattice-score", "--preset", "nope"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-score", "--preset", "fig3-left", "--points", "2"],
+    ["duality-check", "--n", "12", "--k", "6", "--s", "5", "--kaux", "2",
+     "--trials", "1"],
+    ["exponent", "--algs", "double-rlpn", "--rmin", "0.4", "--rmax", "0.4",
+     "--step", "0.1"],
+])
+def test_negative_seed_exit_2(argv, tmp_path, capsys):
+    if argv[0] != "duality-check":
+        argv = [*argv, "--out", str(tmp_path / "x.csv")]
+    assert cli.run([*argv, "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_duality_check_summary(capsys):

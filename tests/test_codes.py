@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,16 +113,15 @@ def _code_words(code):
                          [(10, 5, 6, 0), (12, 6, 7, 1), (14, 7, 8, 2),
                           (14, 6, 9, 3), (11, 4, 8, 4)])
 def test_shorten_dual_is_punctured_dual(n, k, keep_size, seed):
-    # words of (C restricted-to-I with zeros elsewhere)^perp equal the
-    # projections of dual words onto I, checked as explicit sets
+    # Rprime generates C shortened to the N side, so the words of its
+    # parity matrix equal the projections of dual words onto N, checked
+    # as explicit sets
     code = C.random_code(n, k, seed)
     rng = np.random.default_rng(seed + 9)
-    keep = np.sort(rng.choice(n, size=keep_size, replace=False))
-    try:
-        lhs = _code_words(C.shorten(code, keep).dual())
-        rhs = _code_words(C.puncture(code.dual(), keep))
-    except RankDeficient:
-        pytest.skip("degenerate restriction")
+    part, sf = C.draw_partition(code, n - keep_size,
+                                itertools.repeat(rng, 200))
+    lhs = _code_words(C.LinearCode(sf.shortened_parity))
+    rhs = {tuple(part.split(h)[1]) for h in _code_words(code.dual())}
     assert lhs == rhs
 
 
@@ -196,15 +197,36 @@ def test_plant_instance(seed):
     assert np.array_equal(inst.y, again.y)
 
 
-def test_shorten_words_lie_in_punctured_code():
-    code = C.random_code(12, 6, 4)
-    keep = np.arange(4, 12)
-    try:
-        sh = C.shorten(code, keep)
-        pu = C.puncture(code, keep)
-    except RankDeficient:
-        pytest.skip("degenerate restriction")
-    assert _code_words(sh) <= _code_words(pu)
+def test_draw_partition_takes_first_accepted_full_rank_draw():
+    # columns 0 and 1 are equal, so P = {0, 1} is the one rank-deficient
+    # pair; accept asks for position 0 on the P side.  Seeds 0, 30, 25
+    # and 3 draw {3, 4} (not accepted), {0, 1} (rank-deficient), {0, 2}
+    # and {0, 3}
+    code = C.LinearCode(np.array([[1, 1, 0, 0, 0],
+                                  [0, 0, 1, 0, 1],
+                                  [0, 0, 0, 1, 1]], np.uint8))
+    used = []
+
+    def rngs():
+        for seed in (0, 30, 25, 3):
+            used.append(seed)
+            yield np.random.default_rng(seed)
+
+    part, sf = C.draw_partition(code, 2, rngs(), accept=lambda p: 0 in p.ppos)
+    assert part.ppos.tolist() == [0, 2]
+    assert used == [0, 30, 25]
+    ref = C.systematic_form(code, part)
+    assert np.array_equal(sf.r, ref.r)
+    assert np.array_equal(sf.rprime, ref.rprime)
+    # one generator shared by every draw, as the decoder passes it: seed 3
+    # draws {0, 3}, {0, 4}, {2, 3}, {0, 1}, ...
+    rng = np.random.default_rng(3)
+    part, _ = C.draw_partition(code, 2, itertools.repeat(rng, 200),
+                               accept=lambda p: 3 not in p.ppos)
+    assert part.ppos.tolist() == [0, 4]
+    assert C.draw_partition(code, 2, []) == (None, None)
+    assert C.draw_partition(code, 2, rngs(),
+                            accept=lambda p: False) == (None, None)
 
 
 def test_as_bits_rejects_alphabet():

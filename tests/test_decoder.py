@@ -70,16 +70,6 @@ def test_delta_sign_kept():
         D.double_rlpn(inst, p)
 
 
-def test_constraint_report():
-    p = D.DoubleRlpnParams(s=28, u=8, w=5, k_aux=20, t_aux=2)
-    be = D.delta(p, 60, 30, 8)
-    rep = be.constraint_report(60, 2.0)
-    assert rep["satisfied"] == (rep["log2_pairs"] >= rep["log2_required"])
-    assert rep["log2_pairs"] == pytest.approx(
-        np.log2(float(be.htilde_expected)))
-    assert not D.BiasEstimate(0, 100).constraint_report(60, 2.0)["satisfied"]
-
-
 def test_params_validation():
     with pytest.raises(DomainError):
         D.DoubleRlpnParams(s=0, u=1, w=2, k_aux=1, t_aux=1)

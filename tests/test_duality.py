@@ -116,8 +116,8 @@ def test_joint_counts_planted_cell_and_total():
     jwc = DU.joint_weight_counts(code, aux, part, e, ep)
     # the pair (e_P, 0) always lands in the planted cell
     assert jwc.counts[1, 2] >= 1
-    assert jwc.total() == 2 ** (6 - 3 + 7 - 6)
-    assert jwc.dims == (14 - 6 + 1, 6 + 1)
+    assert int(jwc.counts.sum()) == 2 ** (6 - 3 + 7 - 6)
+    assert jwc.counts.shape == (14 - 6 + 1, 6 + 1)
 
 
 def test_joint_counts_budgets():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from dualattack import codes as C
 from dualattack import fourier as F
 from dualattack import samples as S
-from dualattack.errors import DomainError, EmptySamples, InconsistentAux
+from dualattack.errors import BudgetExceeded, DomainError, InconsistentAux
 
 
 def _setup(seed=2):
@@ -89,15 +89,6 @@ def test_build_f_rejects_foreign_codewords():
         F.build_f(y, ss, other)
 
 
-def test_bias_from_fhat_exact_and_empty():
-    _, _, aux, ss, y = _setup()
-    fh = F.wht(F.build_f(y, ss, aux.code.generator))
-    b = F.bias_from_fhat(fh, 1, ss.count)
-    assert b == Fraction(int(fh.values[1]), ss.count)
-    with pytest.raises(EmptySamples):
-        F.bias_from_fhat(fh, 0, 0)
-
-
 def test_fft_decode_strict_threshold():
     _, _, aux, ss, y = _setup(seed=9)
     g = aux.code.generator
@@ -142,6 +133,9 @@ def test_table_validation():
         F.FourierTable(3, np.zeros(7, np.int64))
     t = F.FourierTable(3)
     assert t.values.shape == (8,)
+    # refused before the 2^27-entry table is allocated
+    with pytest.raises(BudgetExceeded):
+        F.FourierTable(27)
 
 
 def test_bits_index_roundtrip():

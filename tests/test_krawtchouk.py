@@ -114,16 +114,17 @@ def test_kappa_at_zero_point_is_entropy():
 
 
 def test_kappa_branch_continuity():
-    # both branch formulas agree at the boundary to 1e-9
+    # both branch formulas agree at the boundary to 1e-9; just past it
+    # the value is the oscillatory envelope itself
     for om in [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49]:
         wp = KR._omega_perp(om)
-        mono = KR.kappa_point(wp, om)
-        assert mono.branch == "monotone"
+        mono = KR.kappa_tilde(wp, om)
         osc = (1 - KR.h2(wp) + KR.h2(om)) / 2
-        assert abs(mono.value - osc) < 1e-9
-        just_past = KR.kappa_point(min(wp + 1e-12, 1.0), om)
-        assert just_past.branch == "oscillatory"
-        assert abs(just_past.value - mono.value) < 1e-9
+        assert abs(mono - osc) < 1e-9
+        past = min(wp + 1e-12, 1.0)
+        just_past = KR.kappa_tilde(past, om)
+        assert just_past == (1 - KR.h2(past) + KR.h2(om)) / 2
+        assert abs(just_past - mono) < 1e-9
 
 
 def test_kappa_matches_finite_n_512():

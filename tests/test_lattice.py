@@ -222,37 +222,6 @@ def test_gamma_survival_poisson_process_mc():
             assert abs(emp - p) <= 3.0 * sd
 
 
-def test_sample_vector_lengths():
-    p = L.preset_params("fig3-left")
-    js = L.sample_vector_lengths(p, 20000, seed=3, terms=3)
-    assert js.shape == (20000, 3)
-    assert np.all(np.diff(js, axis=1) >= 0)
-    # theta j_0^n recovers a unit exponential
-    u = np.exp(p.n * np.log(js[:, 0]) + L.log_gamma_rate(p))
-    emp = float(np.mean(u >= 1.0))
-    want = math.exp(-1.0)
-    assert abs(emp - want) <= 3.0 * math.sqrt(want * (1 - want) / 20000)
-    with pytest.raises(DomainError):
-        L.sample_vector_lengths(p, 0)
-
-
-def test_gaussian_heuristic_stirling_gap():
-    # the stated convention keeps (pi n)^{1/n} inside the n-th power
-    # where Stirling only yields its square root, so the form undercounts
-    # by exactly half a log minus the Gamma-series remainder
-    for n in (2, 10, 60, 80):
-        lv = 7.5
-        gaps = []
-        for x in (0.3, 4.0):
-            exact = L.log_ball_volume(n) + n * math.log(x) - lv
-            gaps.append(L.gaussian_heuristic_expect(n, lv, x) - exact)
-        assert abs(gaps[0] - gaps[1]) < 1e-9
-        c = gaps[0] + 0.5 * math.log(math.pi * n)
-        assert 1.0 / (6 * n + 1) < c < 1.0 / (6 * n)
-    with pytest.raises(DomainError):
-        L.gaussian_heuristic_expect(60, 0.0, 0.0)
-
-
 def test_survival_validation():
     p = L.preset_params("fig3-left")
     with pytest.raises(DomainError):
@@ -263,8 +232,6 @@ def test_survival_validation():
         L.survival_refined(p, [])
     with pytest.raises(DomainError):
         L.survival_refined(p, [0.0, 1.0], shortest_terms=0)
-    with pytest.raises(DomainError):
-        L.survival_refined(p, [0.0, 1.0], fall_scale=-0.5)
 
 
 def test_survival_deterministic_and_seed_sensitive():
@@ -311,13 +278,6 @@ def test_survival_gaussian_limit_when_floor_far():
     ref, ind = c.survival["refined"], c.survival["independence"]
     keep = ind > 1e-9
     assert np.all(np.abs(ref[keep] / ind[keep] - 1.0) < 1e-6)
-
-
-def test_survival_fall_scale_zero_collapses_to_floor():
-    p = L.preset_params("fig3-left")
-    grid = np.linspace(0.0, 600.0, 13)
-    c = L.survival_refined(p, grid, mc_trials=10 ** 5, seed=6, fall_scale=0.0)
-    assert np.array_equal(c.survival["refined"], c.survival["floor"])
 
 
 def test_survival_extra_shortest_terms():

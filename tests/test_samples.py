@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from math import comb
 
+from dualattack import _kernels as K
 from dualattack import codes as C
 from dualattack import samples as S
 from dualattack._kernels import pack_rows, row_ints, unpack_rows, xor_closure
@@ -45,12 +46,24 @@ def test_syndrome_table_covers_all_patterns():
             assert row_ints(aux.code.syndrome(p)) == [key]
 
 
+def _gray(code, part, w):
+    # reference: sweep all 2^(n-k) dual words in Gray order
+    hn, hp = K.gray_low_weight(pack_rows(code.parity[:, part.npos]),
+                               pack_rows(code.parity[:, part.ppos]), w)
+    return unpack_rows(hn, code.n - part.s), unpack_rows(hp, part.s)
+
+
+def _mitm(code, part, w):
+    assert K.comb_search_fits(code.n - part.s, w)
+    return S.enumerate_dual_low_weight(code, part, w)
+
+
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 4])
 def test_gray_and_mitm_agree(w):
     code = C.random_code(16, 7, 2)
     part = _good_partition(code, 6, 3)
-    g_n, g_p = S.enumerate_dual_low_weight(code, part, w, strategy="gray")
-    m_n, m_p = S.enumerate_dual_low_weight(code, part, w, strategy="mitm")
+    g_n, g_p = _gray(code, part, w)
+    m_n, m_p = _mitm(code, part, w)
     assert np.array_equal(g_n, m_n)
     assert np.array_equal(g_p, m_p)
 
@@ -59,8 +72,8 @@ def test_gray_and_mitm_agree_at_decode_scale():
     # the README decode shape, where the kernel splits the 24 N-columns
     code = C.random_code(40, 20, 5)
     part = _good_partition(code, 16, 5)
-    g_n, g_p = S.enumerate_dual_low_weight(code, part, 5, strategy="gray")
-    m_n, m_p = S.enumerate_dual_low_weight(code, part, 5, strategy="mitm")
+    g_n, g_p = _gray(code, part, 5)
+    m_n, m_p = _mitm(code, part, 5)
     assert g_n.shape[0] > 1000
     assert np.array_equal(g_n, m_n)
     assert np.array_equal(g_p, m_p)
@@ -80,10 +93,8 @@ def test_gray_and_mitm_agree_on_wide_shortened_code():
     part = C.Partition(n, np.arange(s))
     assert code.k - s > 64
     for w, count in [(2, r), (3, 0), (4, comb(r, 2))]:
-        g_n, g_p = S.enumerate_dual_low_weight(code, part, w,
-                                               strategy="gray")
-        m_n, m_p = S.enumerate_dual_low_weight(code, part, w,
-                                               strategy="mitm")
+        g_n, g_p = _gray(code, part, w)
+        m_n, m_p = _mitm(code, part, w)
         assert g_n.shape[0] == count
         assert np.array_equal(g_n, m_n)
         assert np.array_equal(g_p, m_p)
@@ -109,18 +120,37 @@ def test_enumerate_finds_every_dual_word(seed=6):
         assert got == ref
 
 
-def test_enumerate_budget():
+def test_enumerate_falls_back_to_gray(monkeypatch):
+    # with no room for the subset tables the Gray sweep runs, and gives
+    # the meet-in-the-middle words
+    code = C.random_code(40, 20, 5)
+    part = _good_partition(code, 16, 5)
+    m_n, m_p = _mitm(code, part, 5)
+    calls = []
+    gray = K.gray_low_weight
+    monkeypatch.setattr(K, "MITM_HALF_CAP", 0)
+    monkeypatch.setattr(S, "gray_low_weight",
+                        lambda *a, **kw: calls.append(1) or gray(*a, **kw))
+    assert not K.comb_search_fits(24, 5)
+    g_n, g_p = S.enumerate_dual_low_weight(code, part, 5)
+    assert calls == [1]
+    assert np.array_equal(g_n, m_n)
+    assert np.array_equal(g_p, m_p)
+
+
+def test_enumerate_budget(monkeypatch):
+    small = C.random_code(16, 7, 2)
+    spart = _good_partition(small, 6, 3)
+    hn, _ = _mitm(small, spart, 3)
+    assert hn.shape[0] > 2
+    with pytest.raises(BudgetExceeded):
+        S.enumerate_dual_low_weight(small, spart, 3, max_hits=hn.shape[0] - 1)
+    # the Gray side refuses codes with more than 2^34 dual words
+    monkeypatch.setattr(K, "MITM_HALF_CAP", 0)
     code = C.random_code(60, 20, 1)
     part = C.Partition(60, np.arange(10))
     with pytest.raises(BudgetExceeded):
-        S.enumerate_dual_low_weight(code, part, 5, strategy="gray")
-    small = C.random_code(16, 7, 2)
-    spart = _good_partition(small, 6, 3)
-    hn, _ = S.enumerate_dual_low_weight(small, spart, 3, strategy="mitm")
-    assert hn.shape[0] > 2
-    with pytest.raises(BudgetExceeded):
-        S.enumerate_dual_low_weight(small, spart, 3, strategy="mitm",
-                                    max_hits=hn.shape[0] - 1)
+        S.enumerate_dual_low_weight(code, part, 5)
 
 
 def test_pair_invariants_and_membership():
