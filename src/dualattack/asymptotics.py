@@ -13,10 +13,18 @@ reported point is re-verified against the full constraint list.
 The Nelder-Mead here is a numpy port of scipy's, step for step, that
 advances all starts of a search phase together and evaluates the points
 they ask for in one batched objective call, so scipy.optimize is not
-needed.
+needed.  The starts never interact, so on a machine with two or more
+cores each phase splits them into two fixed groups of about equal
+summed evaluation budget: a worker process forked once per exponent
+point runs one group while the calling process runs the other, and the
+results are put back in start order.  Every reported point is the same,
+bit for bit, as with both groups run in one process.
 """
 
 import math
+import os
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -484,6 +492,49 @@ def _nelder_mead(f, chains):
     return done
 
 
+def _run_chains(R, tau, N_aux, prefix, specs):
+    # Nelder-Mead chains, one per (simplex, maxfev, xatol, fatol, adaptive)
+    # of specs, stepped together on the penalized objective; prefix, if
+    # given, holds fixed leading coordinates of each chain's search vector
+    penalized = partial(_penalized, R, tau, N_aux)
+    f = penalized if prefix is None else lambda Y, chain: penalized(np.hstack([prefix[chain], Y]))
+    return _nelder_mead(f, [_nelder_mead_chain(*spec) for spec in specs])
+
+
+def _cores():
+    # CPUs this process may run on; 1 where the system cannot say
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker():
+    # a one-process pool forked from this process, or a context yielding
+    # None where there is no second core, no fork, another thread (which
+    # a fork could copy while it holds a lock) or a daemonic process
+    # (which may not have children)
+    if _cores() < 2 or threading.active_count() > 1:
+        return nullcontext()
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return nullcontext()
+    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+
+
+def _run_split(pool, R, tau, N_aux, prefix, specs):
+    # _run_chains over specs, the leading chains whose maxfev sums to at
+    # most half the total run by the pool's worker while this process
+    # runs the others; results in the order of specs
+    if pool is None:
+        return _run_chains(R, tau, N_aux, prefix, specs)
+    fev = np.cumsum([spec[1] for spec in specs])
+    cut = int(np.searchsorted(fev, fev[-1] / 2.0, side="right"))
+    head, tail = (None, None) if prefix is None else (prefix[:cut], prefix[cut:])
+    far = pool.submit(_run_chains, R, tau, N_aux, head, specs[:cut])
+    near = _run_chains(R, tau, N_aux, tail, specs[cut:])
+    return far.result() + near
+
+
 def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
     """Minimize the dual-attack exponent at rate R and distance tau.
 
@@ -501,7 +552,7 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
     if N_aux < 1:
         raise DomainError("N_aux below 1")
 
-    exact, penalized = partial(_exact, R, tau, N_aux), partial(_penalized, R, tau, N_aux)
+    exact = partial(_exact, R, tau, N_aux)
 
     # competing local basins differ mostly in (sigma, R_aux): sweep a fixed
     # lattice there with a cheap inner search over (omega, mu) so the basin
@@ -520,12 +571,26 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
             for fr in (0.2, 0.4, 0.6, 0.8):
                 cells.append(np.array([sig, fr * sig, 0.7 * ob * (1.0 - sig), (1.0 - sig) * tau]))
     cells = np.array(cells)
-    ends = _nelder_mead(
-        lambda Y, chain: penalized(np.hstack([cells[chain, :2], Y])),
-        [_nelder_mead_chain(s, 110, 1e-7, 1e-10, False) for s in _simplex(cells[:, 2:])],
-    )
-    ranked = sorted(((fs.min(), np.concatenate([c[:2], s[0]])) for c, (s, fs, _) in zip(cells, ends)),
-                    key=lambda r: r[0])
+    with _worker() as pool:
+        ends = _run_split(pool, R, tau, N_aux, cells[:, :2],
+                          [(s, 110, 1e-7, 1e-10, False) for s in _simplex(cells[:, 2:])])
+        ranked = sorted(((fs.min(), np.concatenate([c[:2], s[0]])) for c, (s, fs, _) in zip(cells, ends)),
+                        key=lambda r: r[0])
+
+        # refine the best cells in 4-d; seeded random starts run beside them
+        top = np.array([x0 for _, x0 in ranked[: min(4, max(restarts, 2))]])
+        specs = [(s, 1400, 1e-10, 1e-13, True) for s in _simplex(top)]
+        rng = np.random.default_rng([seed, int(round(R * 1e9)), int(round(tau * 1e9)), N_aux])
+        starts = []
+        for _ in range(max(0, restarts - len(cells) - 4)):
+            sig = R * (0.35 + 0.63 * rng.random())
+            R_aux = sig * (0.1 + 0.8 * rng.random())
+            omega = (1.0 - sig) / 2.0 * 0.6 * rng.random() ** 1.5
+            lo = max(0.0, tau - sig)
+            mu = lo + (tau - lo) * (0.3 + 0.7 * rng.random())
+            starts.append([sig, R_aux, omega, mu])
+        specs += [(s, 200, 1e-8, 1e-11, False) for s in _simplex(np.array(starts).reshape(-1, 4))]
+        ends = _run_split(pool, R, tau, N_aux, None, specs)
 
     best_feas = None
     best_any = None
@@ -542,21 +607,7 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
         if worst <= 1e-9 and (best_feas is None or alpha < best_feas[0]):
             best_feas = (alpha, residuals, vec, np.asarray(x, dtype=np.float64))
 
-    # refine the best cells in 4-d; seeded random starts run beside them
-    top = np.array([x0 for _, x0 in ranked[: min(4, max(restarts, 2))]])
-    chains = [_nelder_mead_chain(s, 1400, 1e-10, 1e-13, True) for s in _simplex(top)]
-    rng = np.random.default_rng([seed, int(round(R * 1e9)), int(round(tau * 1e9)), N_aux])
-    starts = []
-    for _ in range(max(0, restarts - len(cells) - 4)):
-        sig = R * (0.35 + 0.63 * rng.random())
-        R_aux = sig * (0.1 + 0.8 * rng.random())
-        omega = (1.0 - sig) / 2.0 * 0.6 * rng.random() ** 1.5
-        lo = max(0.0, tau - sig)
-        mu = lo + (tau - lo) * (0.3 + 0.7 * rng.random())
-        starts.append([sig, R_aux, omega, mu])
-    chains += [_nelder_mead_chain(s, 200, 1e-8, 1e-11, False)
-               for s in _simplex(np.array(starts).reshape(-1, 4))]
-    for sim, _, _ in _nelder_mead(penalized, chains):
+    for sim, _, _ in ends:
         consider(sim[0])
 
     # drill into the best basin with shrinking simplexes
@@ -564,7 +615,7 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
         for radius in (2e-3, 1e-4):
             x0 = best_feas[3]
             simplex = np.vstack([x0] + [x0 + radius * e for e in np.eye(4)])
-            consider(_nelder_mead(penalized, [_nelder_mead_chain(simplex, 800, 1e-11, 1e-14, True)])[0][0][0])
+            consider(_run_chains(R, tau, N_aux, None, [(simplex, 800, 1e-11, 1e-14, True)])[0][0][0])
 
     alpha, residuals, vec = (best_feas or best_any)[:3]
     return ExponentPoint(

@@ -19,6 +19,7 @@ import configparser
 import csv
 import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -39,6 +40,8 @@ from .lattice import (MODELS, PRESETS, LatticeScoreParams, preset_params,
 from .samples import AuxCode
 
 FORMAT_VERSION = 1
+# rate points one exponent run may ask for
+MAX_RATES = 10 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +332,10 @@ def _cmd_exponent(args):
                 + ",".join(ALGORITHMS))
     if not 0.0 < args.rmin <= args.rmax < 1.0:
         raise ConfigError("need 0 < rmin <= rmax < 1")
-    if args.step <= 0:
-        raise ConfigError("--step must be positive")
+    if not 0 < args.step < math.inf:
+        raise ConfigError("--step must be positive and finite")
+    if (args.rmax - args.rmin) / args.step >= MAX_RATES:
+        raise ConfigError(f"--step {args.step!r} gives more than {MAX_RATES} rates")
     grid = []
     i = 0
     while True:

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 
 MODELS = ("refined", "floor", "independence")
 PRESETS = ("fig3-left", "fig3-right")
@@ -171,6 +170,8 @@ def gamma_survival(k, theta, alpha):
     """Survival P[Z >= alpha] of the (k+1)-th arrival of a rate-theta
     point process in volume scale, which is the chance a Poisson(theta
     alpha) count stays at or below k."""
+    from scipy.special import gammaincc
+
     if k < 0 or int(k) != k:
         raise DomainError("k must be a nonnegative integer")
     if not theta > 0:
@@ -209,7 +210,13 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     closed form per sample, and reports three curves: the convolution
     ("refined"), the closest-vector part alone ("floor"), and the
     independence-assumption Gaussian alone ("independence"), each with a
-    95% band.  shortest_terms > 1 adds later arrivals to the floor sum."""
+    95% band.  shortest_terms > 1 adds later arrivals to the floor sum.
+
+    Each stratum holds a (trials per stratum) x (thresholds) table in a
+    few float64 arrays; tables over 2^25 cells (about 0.9 GB at the peak)
+    raise BudgetExceeded before anything is drawn."""
+    from scipy.special import erfc
+
     if mc_trials < 10 ** 5:
         raise DomainError("need at least 1e5 trials")
     if shortest_terms < 1:
@@ -225,6 +232,8 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     sigma = math.sqrt(0.5 * params.N)
     pairs = _strata()
     base = mc_trials // len(pairs)
+    if base * len(t) > 1 << 25:
+        raise BudgetExceeded(f"{base} trials per stratum x {len(t)} thresholds exceeds 2^25 cells")
 
     ref = np.zeros(len(t))
     ref_var = np.zeros(len(t))

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import threading
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -11,9 +15,30 @@ from dualattack.errors import DomainError
 from dualattack.krawtchouk import _omega_perp, h2, h2_inv, kappa_tilde, kappa_tilde_many
 
 
+@contextmanager
+def _cores(n):
+    # n = 2 forces the two-process split whatever the machine, n = 1 the
+    # in-process run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_cores", lambda: n)
+        yield
+
+
+def _forks_here():
+    with A._worker() as pool:
+        return pool is not None
+
+
 @pytest.fixture(scope="module")
 def drlpn_point():
-    return A.double_rlpn_exponent(0.2, restarts=20, seed=0)
+    with _cores(2):
+        return A.double_rlpn_exponent(0.2, restarts=20, seed=0)
+
+
+@pytest.fixture(scope="module")
+def extremes():
+    with _cores(2):
+        return [A.double_rlpn_exponent(r, restarts=12, seed=0) for r in (0.02, 0.98)]
 
 
 def test_prange_max_location():
@@ -292,12 +317,66 @@ def test_drlpn_exponent_domain():
         A.double_rlpn_exponent(0.2, N_aux=0)
 
 
-def test_drlpn_small_at_rate_extremes():
-    lo = A.double_rlpn_exponent(0.02, restarts=12, seed=0)
-    hi = A.double_rlpn_exponent(0.98, restarts=12, seed=0)
+def test_drlpn_small_at_rate_extremes(extremes):
+    lo, hi = extremes
     assert lo.feasible and lo.alpha <= 0.03
     assert hi.feasible and hi.alpha <= 0.012
     assert hi.alpha < A.prange_exponent(0.98)
+
+
+def test_split_matches_in_process(drlpn_point, extremes):
+    # every point of the forked two-process split equals the in-process
+    # run field for field: cold starts at 12, 20 and 64 restarts, and a
+    # curve's warm-started points after _smooth_curve
+    with _cores(2):
+        assert _forks_here()
+        split = [*extremes, drlpn_point, A.double_rlpn_exponent(0.42, restarts=64, seed=5),
+                 *A.exponent_curve(["double-rlpn"], [0.40, 0.42, 0.44])]
+    assert multiprocessing.active_children() == []
+    with _cores(1):
+        alone = [A.double_rlpn_exponent(r, restarts=12, seed=0) for r in (0.02, 0.98)]
+        alone += [A.double_rlpn_exponent(0.2, restarts=20, seed=0), A.double_rlpn_exponent(0.42, restarts=64, seed=5),
+                  *A.exponent_curve(["double-rlpn"], [0.40, 0.42, 0.44])]
+    assert split == alone
+    assert [repr(p) for p in split] == [repr(p) for p in alone]
+
+
+@pytest.mark.parametrize("where", ["both", "worker"])
+def test_split_leaves_no_process_when_objective_raises(monkeypatch, where):
+    # the fork carries the patched objective into the worker; its error,
+    # or the caller's own, reaches the caller and the worker is joined
+    caller = os.getpid()
+
+    def failing(*args):
+        if where == "both" or os.getpid() != caller:
+            raise FloatingPointError("objective failed")
+        return rows(*args)
+
+    rows = A._drlpn_rows
+    monkeypatch.setattr(A, "_cores", lambda: 2)
+    monkeypatch.setattr(A, "_drlpn_rows", failing)
+    with pytest.raises(FloatingPointError, match="objective failed"):
+        A.double_rlpn_exponent(0.42, restarts=64, seed=5)
+    assert multiprocessing.active_children() == []
+
+
+def test_split_stays_in_process_beside_threads_and_in_daemons(monkeypatch):
+    # a fork would copy another thread's locks, and a daemonic process
+    # may not have children: both run every chain in-process
+    monkeypatch.setattr(A, "_cores", lambda: 2)
+    assert _forks_here()
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert not _forks_here()
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_forks_here) is False
+    assert multiprocessing.active_children() == []
 
 
 def test_exponent_curve_baselines():
@@ -591,7 +670,6 @@ def test_nelder_mead_chains_do_not_interact():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -600,10 +678,13 @@ def test_cli_import_leaves_out_scipy_optimize():
 
     src = str(Path(dualattack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, dualattack.cli; print('scipy.optimize' in sys.modules)"
+    # scipy.special and scipy.stats load on first use, the worker pool of
+    # the exponent optimizer on its first exponent point
+    heavy = ("scipy.optimize", "scipy.special", "scipy.stats", "multiprocessing", "concurrent.futures")
+    probe = "import sys, dualattack.cli; print(sorted(set(%r) & set(sys.modules)))" % (heavy,)
     res = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
 
 
 def _repair_reference(x, R, tau, exact):

@@ -234,7 +234,20 @@ def test_exponent_flag_validation(capsys):
                     "--step", "0.1"]) == 2
     assert cli.run(["exponent", "--rmin", "0.2", "--rmax", "0.4",
                     "--step", "-1"]) == 2
+    for step in ("nan", "inf"):
+        assert cli.run(["exponent", "--rmin", "0.2", "--rmax", "0.4",
+                        "--step", step]) == 2
     capsys.readouterr()
+
+
+def test_exponent_grid_cap_exit_2(tmp_path, capsys):
+    # refused before a grid of 9e8 rates is built
+    out = tmp_path / "fig1.csv"
+    assert cli.run(["exponent", "--algs", "prange", "--rmin", "0.05",
+                    "--rmax", "0.95", "--step", "1e-9",
+                    "--out", str(out)]) == 2
+    assert "rates" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lattice_score_preset(tmp_path):
@@ -252,6 +265,16 @@ def test_lattice_score_preset(tmp_path):
     meta = json.loads((tmp_path / "curve.meta.json").read_text())
     assert meta["config"]["preset"] == "fig3-left"
     assert meta["curve"]["threshold_units"] == "raw score"
+
+
+def test_lattice_score_grid_budget_exit_1(tmp_path, capsys):
+    # 4878 trials per stratum x 100000 thresholds is refused before any
+    # table is allocated
+    out = tmp_path / "curve.csv"
+    assert cli.run(["lattice-score", "--preset", "fig3-left",
+                    "--points", "100000", "--out", str(out)]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lattice_score_custom_matches_preset(tmp_path):
