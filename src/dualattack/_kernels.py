@@ -197,41 +197,62 @@ def comb_search_fits(n, t):
     return _weight_splits(n, t)[1] <= MITM_HALF_CAP
 
 
+def comb_left_rows(n, t):
+    """Left-table rows one target of comb_xor_search_many looks up on n
+    columns at weight t, summed over the weight splits (at least 1): the
+    part of its work and memory that grows with the target count."""
+    return max(1, sum(comb(n // 2, ta) for ta in _weight_splits(n, t)[0]))
+
+
 def comb_xor_search(cols, target, t, max_hits=1 << 22):
     """Index tuples of all t-subsets of the packed cols xoring to target,
-    in lexicographic order.
+    in lexicographic order: comb_xor_search_many for the one target."""
+    target = np.asarray(target, dtype=np.uint64).reshape(1, -1)
+    return comb_xor_search_many(cols, target, t, max_hits)[1]
 
-    cols is a (n,) uint64 array or the (n, W) output of pack_rows; target
-    is one packed word or W of them (missing high words are zero).  Meets
-    in the middle: the columns split at n // 2, and for each weight split
-    the xors of the right part's subsets are sorted and the left part's
-    xors with target looked up in them.  Words wider than 64 bits are
-    matched by their rank among the distinct xors of both parts.  Raises
-    BudgetExceeded when the tables exceed MITM_HALF_CAP entries or more
-    than max_hits tuples qualify."""
+
+def comb_xor_search_many(cols, targets, t, max_hits=1 << 22):
+    """Index tuples of all t-subsets of the packed cols xoring to each of
+    the targets, as (owner, idx): row i of idx solves target owner[i], and
+    the rows are sorted by owner and then lexicographically.
+
+    cols is a (n,) uint64 array or the (n, W) output of pack_rows; targets
+    is a (T, W) stack of packed words, or (T,) single words (missing high
+    words are zero).  Meets in the middle: the columns split at n // 2,
+    and for each weight split the xors of the right part's subsets are
+    sorted once and the left part's xors with every target looked up in
+    them.  Words wider than 64 bits are matched by their rank among the
+    distinct xors of both parts.  Raises BudgetExceeded when the tables
+    exceed MITM_HALF_CAP entries, or when more than max_hits tuples solve
+    one target; the error's owner is then the row of such a target."""
     cols = np.asarray(cols, dtype=np.uint64)
     if cols.ndim == 1:
         cols = cols[:, None]
     n, nw = cols.shape
-    target = np.asarray(target, dtype=np.uint64).reshape(-1)
-    if target.size > nw:
+    targets = np.asarray(targets, dtype=np.uint64)
+    if targets.ndim == 1:
+        targets = targets[:, None]
+    ntg = targets.shape[0]
+    if targets.shape[1] > nw:
         raise ValueError("target is wider than the columns")
-    tgt = np.zeros(nw, np.uint64)
-    tgt[:target.size] = target
-    if t < 0 or t > n:
-        return np.empty((0, max(t, 0)), np.int64)
+    tgt = np.zeros((ntg, 1, nw), np.uint64)
+    tgt[:, 0, :targets.shape[1]] = targets
+    if t < 0 or t > n or not ntg:
+        return np.empty(0, np.int64), np.empty((0, max(t, 0)), np.int64)
     half = n // 2
     tas, size = _weight_splits(n, t)
     if size > MITM_HALF_CAP:
         raise BudgetExceeded("subset tables of %d entries exceed %d"
                              % (size, MITM_HALF_CAP))
     subsets = _cached_subsets if size <= _CACHE_ROWS else _subsets
-    found = []
-    hits = 0
+    owners, found = [], []
+    hits = np.zeros(ntg, np.int64)
     for ta in tas:
         left = subsets(0, half, ta)
         right = subsets(half, n, t - ta)
-        lx = np.bitwise_xor.reduce(cols[left], axis=1) ^ tgt
+        nl = left.shape[0]
+        # row j * nl + i is left subset i against target j
+        lx = (np.bitwise_xor.reduce(cols[left], axis=1) ^ tgt).reshape(-1, nw)
         rx = np.bitwise_xor.reduce(cols[right], axis=1)
         if nw == 1:
             lx, rx = lx[:, 0], rx[:, 0]
@@ -239,7 +260,7 @@ def comb_xor_search(cols, target, t, max_hits=1 << 22):
             _, rank = np.unique(np.concatenate([lx, rx]), axis=0,
                                 return_inverse=True)
             rank = rank.reshape(-1)
-            lx, rx = rank[:left.shape[0]], rank[left.shape[0]:]
+            lx, rx = rank[:lx.shape[0]], rank[lx.shape[0]:]
         order = np.argsort(rx, kind="stable")
         rs = rx[order]
         lo = np.searchsorted(rs, lx, "left")
@@ -247,17 +268,28 @@ def comb_xor_search(cols, target, t, max_hits=1 << 22):
         nhit = int(cnt.sum())
         if not nhit:
             continue
-        hits += nhit
-        if hits > max_hits:
-            raise BudgetExceeded("solution count exceeds max_hits=%d"
+        hits += cnt.reshape(ntg, nl).sum(axis=1)
+        over = np.flatnonzero(hits > max_hits)
+        if over.size:
+            err = BudgetExceeded("solution count exceeds max_hits=%d"
                                  % max_hits)
+            err.owner = int(over[0])
+            raise err
         li = np.repeat(np.arange(lx.size), cnt)
         step = np.arange(nhit) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         ri = order[lo[li] + step]
+        owner, li = np.divmod(li, nl)
+        owners.append(owner)
         found.append(np.concatenate([left[li], right[ri]], axis=1))
     if not found:
-        return np.empty((0, t), np.int64)
+        return np.empty(0, np.int64), np.empty((0, t), np.int64)
+    owner = np.concatenate(owners)
     out = np.concatenate(found)
     if out.shape[0] > 1:
-        out = out[np.lexsort(out.T[::-1])]
-    return out
+        keys = tuple(out.T[::-1])
+        if ntg > 1:
+            # one target needs no owner key, which costs a tenth more sort
+            keys += (owner,)
+        order = np.lexsort(keys)
+        owner, out = owner[order], out[order]
+    return owner, out

@@ -12,7 +12,7 @@ from math import ceil, comb
 
 import numpy as np
 
-from ._kernels import comb_xor_search, pack_rows
+from ._kernels import comb_left_rows, comb_xor_search_many, pack_rows
 from .codes import as_bits, draw_partition, gf2_matmul, systematic_form
 from .errors import BudgetExceeded, DomainError
 from .fourier import fft_decode, index_to_bits
@@ -94,47 +94,89 @@ def default_n_iter(p):
     return int(ceil(Fraction(8) / Fraction(p)))
 
 
-def syndrome_decode_all(parity, syndrome, t):
-    """Every word e with parity e^T = syndrome and |e| = t, in canonical
-    support order, by the subset-xor kernel over the parity columns."""
+def syndrome_decode_all(parity, syndromes, t):
+    """Every word e with parity e^T = syndromes[i] and |e| = t, for each
+    row i of the (T, nrows) syndromes (or one syndrome vector), by the
+    multi-target subset-xor kernel over the parity columns.  Returns
+    (owner, words): words[r] solves syndrome owner[r], sorted by owner and
+    then in canonical support order."""
     parity = as_bits(np.atleast_2d(parity))
-    syndrome = as_bits(syndrome).reshape(-1)
+    syndromes = as_bits(np.atleast_2d(syndromes))
     nrows, ncols = parity.shape
-    if syndrome.size != nrows:
+    if syndromes.shape[1] != nrows:
         raise DomainError("syndrome length differs from parity rows")
-    if t < 0 or t > ncols:
-        return []
-    idx = comb_xor_search(pack_rows(parity.T), pack_rows(syndrome)[0], t)
+    owner, idx = comb_xor_search_many(pack_rows(parity.T),
+                                      pack_rows(syndromes), t)
     out = np.zeros((idx.shape[0], ncols), np.uint8)
     out[np.arange(idx.shape[0])[:, None], idx] = 1
-    return list(out)
+    return owner, out
 
 
-def solve_subproblem(code, part, y, v, u, sf=None):
+def solve_subproblem(code, part, y, vs, u, sf=None):
     """Decode y_N - (y_P - v) R at exact distance u in the shortened code
-    generated by Rprime; returns e_N or None."""
+    generated by Rprime, for each row v of vs (or one v); returns
+    (owner, e_ns) as syndrome_decode_all does."""
     if sf is None:
         sf = systematic_form(code, part)
     y = as_bits(y).reshape(-1)
-    v = as_bits(v).reshape(-1)
-    if v.size != part.s:
+    vs = as_bits(np.atleast_2d(vs))
+    if vs.shape[1] != part.s:
         raise DomainError("v must live on the P side")
     yp, yn = part.split(y)
-    shift = gf2_matmul(((yp ^ v)).reshape(1, -1), sf.r)[0]
-    yprime = yn ^ shift
+    yprime = yn ^ gf2_matmul(yp ^ vs, sf.r)
     hn = sf.shortened_parity
-    synd = gf2_matmul(yprime.reshape(1, -1), hn.T)[0]
-    sols = syndrome_decode_all(hn, synd, u)
-    if not sols:
+    return syndrome_decode_all(hn, gf2_matmul(yprime, hn.T), u)
+
+
+# largest tuple product recover_e walks
+MAX_TUPLES = 1 << 20
+# targets x left-table rows (comb_left_rows) in one batched decode of
+# recover_e, which bounds its memory
+CHUNK_CELLS = 1 << 18
+
+
+def _first_word(decode, count, cells, finish):
+    """Run decode(a, b), which solves targets a to b - 1 of count as
+    (owner, words), in chunks of at most CHUNK_CELLS // cells targets, and
+    return the first word that finish(a, owner, words) makes of a chunk's
+    solutions, or None.  When target a + j has too many solutions, the
+    targets before it are walked first and the error stands only when
+    none of them gives a word, as a walk one target at a time would."""
+    step = max(1, CHUNK_CELLS // cells)
+
+    def walk(lo, hi):
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            try:
+                owner, words = decode(a, b)
+            except BudgetExceeded as err:
+                if err.owner:
+                    e = walk(a, a + err.owner)
+                    if e is not None:
+                        return e
+                raise
+            e = finish(a, owner, words)
+            if e is not None:
+                return e
         return None
-    return sols[0]
+
+    return walk(0, count)
 
 
-def recover_e(candidate_sets, g_aux_list, part, y, code, t, u,
-              sf=None, max_tuples=1 << 20):
-    """Walk candidate tuples best-score first, decode each stacked
-    syndrome to weight t-u on the P side, finish each survivor on the N
-    side; return the first verified error word."""
+def recover_e(candidate_sets, g_aux_list, part, y, code, t, u, sf=None):
+    """Walk candidate tuples best-score first (itertools.product order of
+    the score-sorted sets), decode each stacked syndrome to weight t-u on
+    the P side, finish each solution v on the N side; return the first
+    verified error word.
+
+    The tuples go in chunks of CHUNK_CELLS // comb_left_rows(s, t-u).  One
+    batched syndrome_decode_all call decodes a chunk's stacked syndromes,
+    and one batched solve_subproblem call decodes the shortened-code
+    syndromes of all its v at weight u.  The v's are taken in (tuple,
+    support) order, each with its first N-side solution, and the walk
+    stops at the first chunk holding a verified word, so it returns the
+    word a walk one tuple at a time would.  Raises BudgetExceeded when
+    there are more than MAX_TUPLES tuples."""
     n_aux = len(candidate_sets)
     if len(g_aux_list) != n_aux:
         raise DomainError("one generator per candidate set")
@@ -143,24 +185,38 @@ def recover_e(candidate_sets, g_aux_list, part, y, code, t, u,
     total = 1
     for cs in candidate_sets:
         total *= len(cs)
-    if total > max_tuples:
+    if total > MAX_TUPLES:
         raise BudgetExceeded("candidate tuple count %d exceeds budget" % total)
     if sf is None:
         sf = systematic_form(code, part)
     stacked = np.concatenate([as_bits(np.atleast_2d(g)) for g in g_aux_list])
     k_auxes = [np.atleast_2d(g).shape[0] for g in g_aux_list]
+    members = [np.array(cs.indices(), np.int64) for cs in candidate_sets]
     y = as_bits(y).reshape(-1)
-    for tup in itertools.product(*[cs.indices() for cs in candidate_sets]):
-        synd = np.concatenate([index_to_bits(ui, ka)
-                               for ui, ka in zip(tup, k_auxes)])
-        for v in syndrome_decode_all(stacked, synd, t - u):
-            e_n = solve_subproblem(code, part, y, v, u, sf=sf)
-            if e_n is None:
-                continue
-            e = part.merge(v, e_n)
-            if int(e.sum()) == t and code.contains(y ^ e):
-                return e
-    return None
+
+    def tuple_syndromes(a, b):
+        # C-order digits of r are the positions of tuple r of the product
+        digits = np.unravel_index(np.arange(a, b), [m.size for m in members])
+        return np.concatenate([index_to_bits(m[d], ka) for m, d, ka
+                               in zip(members, digits, k_auxes)], axis=1)
+
+    def finish_p(_, owner, vs):
+        def finish_n(a, owner, e_ns):
+            rows, first = np.unique(owner, return_index=True)
+            for j, r in zip(rows.tolist(), first.tolist()):
+                e = part.merge(vs[a + j], e_ns[r])
+                if int(e.sum()) == t and code.contains(y ^ e):
+                    return e
+            return None
+
+        return _first_word(
+            lambda a, b: solve_subproblem(code, part, y, vs[a:b], u, sf=sf),
+            vs.shape[0], comb_left_rows(code.n - part.s, u), finish_n)
+
+    return _first_word(
+        lambda a, b: syndrome_decode_all(stacked, tuple_syndromes(a, b),
+                                         t - u),
+        total, comb_left_rows(stacked.shape[1], t - u), finish_p)
 
 
 def double_rlpn(instance, params, stats=None):

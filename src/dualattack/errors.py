@@ -6,7 +6,12 @@ class DualAttackError(Exception):
 
 
 class BudgetExceeded(DualAttackError):
-    """An enumeration or table would exceed its configured size budget."""
+    """An enumeration or table would exceed its configured size budget.
+
+    owner is the row of a target over its own budget in a multi-target
+    search, and None when the budget is not one target's."""
+
+    owner = None
 
 
 class RankDeficient(DualAttackError):

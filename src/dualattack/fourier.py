@@ -31,9 +31,6 @@ class FourierTable:
             raise DomainError("table length must be 2^k_aux")
         self.values = values
 
-    def copy(self):
-        return FourierTable(self.k_aux, self.values.copy())
-
 
 class CandidateSet:
     """Candidates passing a score threshold, scores attached.
@@ -59,8 +56,10 @@ def _index_bits(idx, k):
 
 
 def index_to_bits(idx, k):
-    """Message index to its uint8 coordinate vector."""
-    return np.array(_index_bits(idx, k), np.uint8)
+    """Message index to its uint8 coordinate vector, or an array of
+    indices to one such row each."""
+    return ((np.asarray(idx, np.int64)[..., None] >> np.arange(k)) & 1
+            ).astype(np.uint8)
 
 
 def bits_to_index(bits):
@@ -125,6 +124,9 @@ def fft_decode(y, samples, g_aux, delta, htilde_expected):
     else:
         base = Fraction(samples.count)
     thr = Fraction(delta) * base / 2
-    members = [(int(u), int(v)) for u, v in enumerate(table.values.tolist())
-               if v > thr]
+    # scores are integers, so v > thr is v > floor(thr)
+    info = np.iinfo(np.int64)
+    cut = min(max(thr.numerator // thr.denominator, info.min), info.max)
+    idx = np.flatnonzero(table.values > cut)
+    members = list(zip(idx.tolist(), table.values[idx].tolist()))
     return CandidateSet(table.k_aux, thr, members)

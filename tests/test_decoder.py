@@ -2,6 +2,7 @@
 syndrome decoding against full scans, and the assembled double-RLPN loop
 on planted instances."""
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualattack import _kernels as K
 from dualattack import codes as C
 from dualattack import decoder as D
+from dualattack import fourier as F
 from dualattack.errors import DomainError, EmptySamples
 from dualattack.fourier import CandidateSet, bits_to_index
 from dualattack.samples import AuxCode
@@ -107,53 +110,69 @@ def _scan_decode(parity, syndrome, t):
     return out
 
 
+def _decode_each(parity, syndromes, t):
+    """syndrome_decode_all's words, split by the syndrome they solve."""
+    owner, words = D.syndrome_decode_all(parity, syndromes, t)
+    assert np.all(np.diff(owner) >= 0)
+    return [list(words[owner == i]) for i in range(len(syndromes))]
+
+
 def test_syndrome_decode_weight_zero():
     h = np.eye(4, dtype=np.uint8)
-    sols = D.syndrome_decode_all(h, np.zeros(4, np.uint8), 0)
-    assert len(sols) == 1 and not sols[0].any()
-    assert D.syndrome_decode_all(h, np.array([1, 0, 0, 0], np.uint8), 0) == []
+    owner, sols = D.syndrome_decode_all(h, np.zeros(4, np.uint8), 0)
+    assert owner.tolist() == [0] and not sols.any()
+    owner, sols = D.syndrome_decode_all(h, np.array([1, 0, 0, 0], np.uint8), 0)
+    assert len(owner) == 0 and sols.shape == (0, 4)
 
 
 def test_syndrome_decode_identity_parity():
     # with H = Id the syndrome itself is the only candidate
     h = np.eye(6, dtype=np.uint8)
     s = np.array([1, 0, 1, 1, 0, 0], np.uint8)
-    sols = D.syndrome_decode_all(h, s, 3)
-    assert len(sols) == 1 and np.array_equal(sols[0], s)
-    assert D.syndrome_decode_all(h, s, 2) == []
+    owner, sols = D.syndrome_decode_all(h, s, 3)
+    assert owner.tolist() == [0] and np.array_equal(sols[0], s)
+    assert len(D.syndrome_decode_all(h, s, 2)[1]) == 0
 
 
 def test_syndrome_decode_matches_scan():
     for seed in range(4):
         rng = np.random.default_rng(seed)
         parity = rng.integers(0, 2, size=(8, 12), dtype=np.uint8)
-        syndrome = rng.integers(0, 2, size=8, dtype=np.uint8)
+        # one random syndrome, one repeated and one of a planted word
+        syndromes = rng.integers(0, 2, size=(3, 8), dtype=np.uint8)
+        syndromes[1] = syndromes[0]
+        syndromes[2] = parity[:, :3].sum(axis=1) % 2
         for t in range(5):
-            got = D.syndrome_decode_all(parity, syndrome, t)
-            want = _scan_decode(parity, syndrome, t)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+            got = _decode_each(parity, syndromes, t)
+            for synd, words in zip(syndromes, got):
+                want = _scan_decode(parity, synd, t)
+                assert len(words) == len(want)
+                for a, b in zip(words, want):
+                    assert np.array_equal(a, b)
 
 
 def test_syndrome_decode_matches_scan_wide():
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
         parity = rng.integers(0, 2, size=(9, 15), dtype=np.uint8)
-        syndrome = rng.integers(0, 2, size=9, dtype=np.uint8)
+        syndromes = rng.integers(0, 2, size=(2, 9), dtype=np.uint8)
         for t in range(5):
-            a = D.syndrome_decode_all(parity, syndrome, t)
-            b = _scan_decode(parity, syndrome, t)
-            assert len(a) == len(b)
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)
+            got = _decode_each(parity, syndromes, t)
+            for synd, a in zip(syndromes, got):
+                b = _scan_decode(parity, synd, t)
+                assert len(a) == len(b)
+                for x, y in zip(a, b):
+                    assert np.array_equal(x, y)
 
 
 def test_syndrome_decode_rejects_bad_lengths():
     h = np.eye(4, dtype=np.uint8)
     with pytest.raises(DomainError):
         D.syndrome_decode_all(h, np.zeros(3, np.uint8), 1)
-    assert D.syndrome_decode_all(h, np.zeros(4, np.uint8), 9) == []
+    with pytest.raises(DomainError):
+        D.syndrome_decode_all(h, np.zeros((2, 5), np.uint8), 1)
+    owner, words = D.syndrome_decode_all(h, np.zeros(4, np.uint8), 9)
+    assert len(owner) == 0 and words.shape == (0, 4)
 
 
 def _planted_split(n, k, s, u, t, seed):
@@ -176,37 +195,44 @@ def test_solve_subproblem_planted():
     for seed in range(5):
         code, part, sf, e, y = _planted_split(24, 12, 10, 2, 3, seed)
         ep, en = part.split(e)
-        got = D.solve_subproblem(code, part, y, ep, 2, sf=sf)
-        assert got is not None and int(got.sum()) == 2
+        owner, sols = D.solve_subproblem(code, part, y, ep, 2, sf=sf)
+        assert owner.size and not owner.any()
+        got = sols[0]
+        assert int(got.sum()) == 2
         # any returned word must solve the same shortened-code equations
         yp, yn = part.split(y)
         shift = C.gf2_matmul((yp ^ ep).reshape(1, -1), sf.r)[0]
         hn = C.gf2_nullspace(sf.rprime)
-        resid = C.gf2_matmul((yn ^ shift ^ got).reshape(1, -1), hn.T)[0]
+        resid = C.gf2_matmul((yn ^ shift ^ sols).reshape(len(sols), -1),
+                             hn.T)
         assert not resid.any()
 
 
 def test_solve_subproblem_weight_zero():
     code, part, sf, e, y = _planted_split(18, 9, 8, 0, 2, 11)
     ep, _ = part.split(e)
-    got = D.solve_subproblem(code, part, y, ep, 0, sf=sf)
-    assert got is not None and not got.any()
+    owner, got = D.solve_subproblem(code, part, y, ep, 0, sf=sf)
+    assert owner.tolist() == [0] and not got.any()
     # flip one N-side bit of y so y' leaves the shortened code
     bad = y.copy()
     bad[part.npos[0]] ^= 1
-    assert D.solve_subproblem(code, part, bad, ep, 0, sf=sf) is None
+    assert len(D.solve_subproblem(code, part, bad, ep, 0, sf=sf)[0]) == 0
+    with pytest.raises(DomainError):
+        D.solve_subproblem(code, part, y, np.zeros((1, 7), np.uint8), 0,
+                           sf=sf)
 
 
 def test_solve_subproblem_random_v_mostly_absent():
     code, part, sf, e, y = _planted_split(24, 12, 10, 2, 3, 17)
     rng = np.random.default_rng(99)
-    hits = 0
-    for _ in range(200):
-        v = rng.integers(0, 2, size=part.s, dtype=np.uint8)
-        if D.solve_subproblem(code, part, y, v, 2, sf=sf) is not None:
-            hits += 1
+    vs = rng.integers(0, 2, size=(200, part.s), dtype=np.uint8)
+    owner, sols = D.solve_subproblem(code, part, y, vs, 2, sf=sf)
+    # one batch equals one call per v
+    for j in (0, 1, 57, 199):
+        o1, s1 = D.solve_subproblem(code, part, y, vs[j], 2, sf=sf)
+        assert np.array_equal(sols[owner == j], s1) and not o1.any()
     # about C(14,2) 2^(12-24) of the v draws should decode
-    assert hits < 20
+    assert len(set(owner.tolist())) < 20
 
 
 def _true_candidate(aux, e, part):
@@ -242,13 +268,104 @@ def test_recover_e_empty_and_false():
         assert int(got.sum()) == 3 and code.contains(y ^ got)
 
 
-def test_recover_e_tuple_budget():
+def test_recover_e_tuple_budget(monkeypatch):
     code, part, sf, e, y = _planted_split(24, 12, 10, 2, 3, 78)
     aux = AuxCode.random(10, 5, 1, seed=78)
     cs = CandidateSet(5, 0.0, [(i, 1.0) for i in range(32)])
+    monkeypatch.setattr(D, "MAX_TUPLES", 1000)
     with pytest.raises(C.BudgetExceeded):
         D.recover_e([cs, cs, cs, cs], [aux.code.generator] * 4, part, y,
-                    code, 3, 2, sf=sf, max_tuples=1000)
+                    code, 3, 2, sf=sf)
+
+
+def _recover_e_reference(candidate_sets, g_aux_list, part, y, code, t, u,
+                         sf, max_hits=1 << 22):
+    """recover_e as one search per candidate tuple and one per P-side
+    solution v, in the order the batched walk must reproduce."""
+    stacked = np.concatenate(g_aux_list)
+    p_cols = K.pack_rows(stacked.T)
+    hn = sf.shortened_parity
+    n_cols = K.pack_rows(hn.T)
+    yp, yn = part.split(y)
+    for tup in itertools.product(*[cs.indices() for cs in candidate_sets]):
+        synd = [(ui >> j) & 1 for ui, g in zip(tup, g_aux_list)
+                for j in range(g.shape[0])]
+        idx = K.comb_xor_search(p_cols, K.pack_rows(synd)[0], t - u,
+                                max_hits)
+        for sup in idx:
+            v = np.zeros(part.s, np.uint8)
+            v[sup] = 1
+            yprime = yn ^ C.gf2_matmul((yp ^ v).reshape(1, -1), sf.r)[0]
+            synd_n = C.gf2_matmul(yprime.reshape(1, -1), hn.T)[0]
+            sols = K.comb_xor_search(n_cols, K.pack_rows(synd_n)[0], u,
+                                     max_hits)
+            if not len(sols):
+                continue
+            e_n = np.zeros(code.n - part.s, np.uint8)
+            e_n[sols[0]] = 1
+            e = part.merge(v, e_n)
+            if int(e.sum()) == t and code.contains(y ^ e):
+                return e
+    return None
+
+
+def _outcome(fn):
+    try:
+        e = fn()
+    except C.BudgetExceeded:
+        return "budget"
+    return None if e is None else e.tobytes()
+
+
+def test_recover_e_matches_one_search_per_candidate(monkeypatch):
+    """240 random instances: N_aux 1 and 2, planted and wrong candidates,
+    chunks of one to a few tuples, and a per-target hit cap of 5 that a
+    tuple goes over before or after the first verified one."""
+    seen = {"found": 0, "none": 0, "budget": 0, "found_past_cap": 0,
+            "v_without_n_side": 0}
+    for i in range(240):
+        rng = np.random.default_rng([900, i])
+        n_aux, u = 1 + i % 2, 1 + (i // 2) % 2
+        k_aux = int(rng.integers(2, 5))
+        code, part, sf, e, y = _planted_split(22, 11, 9, u, 3, 900 + i)
+        auxes = [AuxCode.random(9, k_aux, 1, seed=[900, i, j])
+                 for j in range(n_aux)]
+        gens = [a.code.generator for a in auxes]
+        sets = []
+        for aux in auxes:
+            idx = rng.permutation(1 << k_aux)[:int(rng.integers(1, 7))]
+            if i % 3:
+                # the true candidate, at a random score rank
+                true = _true_candidate(aux, e, part)
+                idx = np.append(idx[idx != true], true)
+            scores = rng.integers(0, 4, size=idx.size)
+            sets.append(CandidateSet(k_aux, 0, list(zip(idx.tolist(),
+                                                        scores.tolist()))))
+        cap = 5 if i % 4 < 2 else 1 << 22
+        ref = _outcome(lambda: _recover_e_reference(
+            sets, gens, part, y, code, 3, u, sf, max_hits=cap))
+        with monkeypatch.context() as m:
+            m.setattr(D, "comb_xor_search_many", functools.partial(
+                K.comb_xor_search_many, max_hits=cap))
+            if i % 6 < 3:
+                # chunks of one to three tuples
+                m.setattr(D, "CHUNK_CELLS", int(rng.integers(1, 4))
+                          * K.comb_left_rows(9, 3 - u))
+            got = _outcome(lambda: D.recover_e(sets, gens, part, y, code, 3,
+                                               u, sf=sf))
+        assert got == ref, i
+        seen["budget" if ref == "budget" else
+             "none" if ref is None else "found"] += 1
+        # does some tuple's stacked syndrome go over the cap?
+        synd = [np.concatenate([F.index_to_bits(x, k_aux) for x in tup])
+                for tup in itertools.product(*[c.indices() for c in sets])]
+        owner, vs = D.syndrome_decode_all(np.concatenate(gens), synd, 3 - u)
+        if isinstance(ref, bytes) and np.bincount(owner).max(initial=0) > cap:
+            seen["found_past_cap"] += 1
+        if len(vs) > len(set(D.solve_subproblem(code, part, y, vs, u,
+                                                sf=sf)[0].tolist())):
+            seen["v_without_n_side"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_double_rlpn_weight_zero():
@@ -324,7 +441,7 @@ def test_stacked_false_decode_rate():
                     .code.generator for j in range(n_aux)]
             stacked = np.concatenate(gens)
             synd = rng.integers(0, 2, size=n_aux * k_aux, dtype=np.uint8)
-            counts.append(len(D.syndrome_decode_all(stacked, synd, tu)))
+            counts.append(len(D.syndrome_decode_all(stacked, synd, tu)[0]))
         expect = comb(s, tu) / 2 ** (n_aux * k_aux)
         mean = sum(counts) / len(counts)
         assert expect / 8 <= mean <= expect * 8

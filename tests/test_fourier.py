@@ -42,7 +42,7 @@ def test_build_f_total_and_parseval():
     table = F.build_f(y, ss, aux.code.generator)
     assert int(np.abs(table.values).sum()) <= ss.count
     f2 = int((table.values.astype(object) ** 2).sum())
-    fh = F.wht(table.copy())
+    fh = F.wht(F.FourierTable(table.k_aux, table.values.copy()))
     fh2 = int((fh.values.astype(object) ** 2).sum())
     assert fh2 == (1 << table.k_aux) * f2
 
@@ -65,7 +65,7 @@ def test_fhat_matches_brute_definition_on_fibers():
 def test_wht_self_inverse_on_table():
     _, _, aux, ss, y = _setup(seed=4)
     t0 = F.build_f(y, ss, aux.code.generator)
-    t = t0.copy()
+    t = F.FourierTable(t0.k_aux, t0.values.copy())
     F.wht(t)
     F.wht(t)
     assert np.array_equal(t.values, t0.values << t0.k_aux)
@@ -105,6 +105,22 @@ def test_fft_decode_strict_threshold():
     assert top in [s for _, s in cand2.members]
 
 
+def test_fft_decode_matches_fraction_scan():
+    # the integer cut keeps exactly the scores above the rational
+    # threshold, at integer, fractional, negative and out-of-range values
+    _, _, aux, ss, y = _setup(seed=9)
+    g = aux.code.generator
+    scores = F.wht(F.build_f(y, ss, g)).values.tolist()
+    for thr in [Fraction(0), Fraction(-7, 3), Fraction(5, 2), Fraction(3),
+                Fraction(max(scores)), Fraction(-(10**30)),
+                Fraction(10**30, 7)]:
+        cand = F.fft_decode(y, ss, g, thr * 2 / ss.count, Fraction(ss.count))
+        assert cand.threshold == thr
+        want = F.CandidateSet(aux.k_aux, thr, [
+            (u, v) for u, v in enumerate(scores) if v > thr])
+        assert cand.members == want.members
+
+
 def test_fft_decode_threshold_base_switches_when_subsampled():
     code, part, aux, ss, y = _setup(seed=12)
     g = aux.code.generator
@@ -142,3 +158,6 @@ def test_bits_index_roundtrip():
     for k in (1, 3, 5):
         for idx in range(1 << k):
             assert F.bits_to_index(F.index_to_bits(idx, k)) == idx
+        # an array of indices gives one coordinate row each
+        rows = F.index_to_bits(np.arange(1 << k), k)
+        assert [F.bits_to_index(r) for r in rows] == list(range(1 << k))

@@ -215,6 +215,64 @@ def test_comb_xor_search_wide_words_match_brute(t):
     assert len(low) > len(got)
 
 
+def _many_cases(wide):
+    # 12 columns whose low words collide often; targets: planted xors,
+    # a repeated one, zero and a random word
+    rng = np.random.default_rng(37 if wide else 41)
+    if wide:
+        cols = np.column_stack([rng.integers(0, 4, size=12, dtype=np.uint64),
+                                rng.integers(0, 1 << 4, size=12,
+                                             dtype=np.uint64)])
+    else:
+        cols = rng.integers(0, 1 << 5, size=12, dtype=np.uint64)
+    planted = [np.bitwise_xor.reduce(cols[list(c)], axis=0)
+               for c in [(1, 7), (0, 4, 9), (2, 3, 10)]]
+    zero = np.zeros_like(planted[0])
+    rand = rng.integers(0, 1 << 5, size=zero.shape, dtype=np.uint64)
+    return cols, np.array(planted + [planted[0], zero, rand])
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 13])
+def test_comb_xor_search_many_matches_separate_and_brute(wide, t):
+    cols, targets = _many_cases(wide)
+    for ntg in (0, 1, 2, targets.shape[0]):
+        owner, idx = K.comb_xor_search_many(cols, targets[:ntg], t)
+        assert idx.shape[1] == t and owner.shape == (idx.shape[0],)
+        got = [(int(o), tuple(r)) for o, r in zip(owner, idx)]
+        brute = [(j, c) for j in range(ntg)
+                 for c in _brute_comb(cols, targets[j], t)]
+        one_by_one = [(j, tuple(r)) for j in range(ntg)
+                      for r in K.comb_xor_search(cols, targets[j], t)]
+        assert got == brute == one_by_one
+    if t == 2:
+        # the repeated target gets the same solutions under its own row
+        assert (0, (1, 7)) in got and (3, (1, 7)) in got
+    if t == 0:
+        assert got == [(4, ())]
+
+
+def test_comb_xor_search_many_budget_per_target():
+    # five zero columns: target 0 has C(5, 2) = 10 weight-2 solutions,
+    # targets 1 ^ 2 and 8 ^ 16 one each, and target 1 five
+    cols = np.array([0, 0, 0, 0, 0, 1, 2, 4, 8, 16], np.uint64)
+    targets = np.array([3, 24, 0, 1], np.uint64)
+    counts = [len(_brute_comb(cols, x, 2)) for x in targets]
+    assert counts == [1, 1, 10, 5]
+    with pytest.raises(BudgetExceeded) as err:
+        K.comb_xor_search_many(cols, targets, 2, max_hits=5)
+    assert err.value.owner == 2
+    # the cap holds per target: 5 + 5 solutions pass a cap of 5
+    owner, _ = K.comb_xor_search_many(cols, targets[[3, 3, 0]], 2,
+                                      max_hits=5)
+    assert owner.tolist() == [0] * 5 + [1] * 5 + [2]
+    owner, _ = K.comb_xor_search_many(cols, targets[[0, 1]], 2, max_hits=1)
+    assert owner.tolist() == [0, 1]
+    with pytest.raises(BudgetExceeded) as err:
+        K.comb_xor_search(cols, 0, 2, max_hits=9)
+    assert err.value.owner == 0
+
+
 def test_dot_parity():
     rng = np.random.default_rng(2)
     rows = rng.integers(0, 2, size=(50, 33), dtype=np.uint8)
