@@ -39,6 +39,14 @@ def row_ints(bits):
     return ints
 
 
+def ints_to_rows(ints, n):
+    """Inverse of row_ints: a sequence of m Python ints below 2^n as a
+    (m, n) uint8 array."""
+    nb = 8 * max(1, (n + 63) // 64)
+    buf = b"".join(v.to_bytes(nb, "little") for v in ints)
+    return unpack_rows(np.frombuffer(buf, np.uint8).reshape(-1, nb), n)
+
+
 def popcount_rows(words):
     """Total set-bit count per row of a (m, W) uint64 array, as int64."""
     words = np.atleast_2d(words)
@@ -89,13 +97,18 @@ def _block_sweep(rows, shift=None):
 
 
 def _sort_pairs(hn, hp):
-    # canonical order so that every enumeration strategy agrees bit for bit
+    # canonical order so that every enumeration strategy agrees bit for bit:
+    # by the words of hn, then those of hp, low word first
     if hn.shape[0] <= 1:
         return hn, hp
-    keys = tuple(hp[:, c] for c in range(hp.shape[1] - 1, -1, -1)) + tuple(
-        hn[:, c] for c in range(hn.shape[1] - 1, -1, -1)
-    )
-    order = np.lexsort(keys)
+    shift = int(hp.max()).bit_length()
+    if hn.shape[1] == hp.shape[1] == 1 and \
+            int(hn.max()).bit_length() + shift <= 64:
+        order = np.argsort((hn[:, 0] << shift) | hp[:, 0])
+    else:
+        keys = tuple(hp[:, c] for c in range(hp.shape[1] - 1, -1, -1)) + \
+            tuple(hn[:, c] for c in range(hn.shape[1] - 1, -1, -1))
+        order = np.lexsort(keys)
     return hn[order], hp[order]
 
 
@@ -156,6 +169,41 @@ def coset_weight_hist(basis, x, n):
     for _, _, wt in _block_sweep(basis, x):
         hist += np.bincount(wt, minlength=n + 1)
     return hist
+
+
+class KeyTable:
+    """Packed (P, W) uint64 keys, sorted once and matched row by row
+    against (Q, W) queries.  The sort is stable, so equal keys keep their
+    input order.  Keys wider than one word are sorted first word first,
+    and matched through their rank among the distinct rows of the keys
+    and the queries together."""
+
+    def __init__(self, keys):
+        if keys.shape[1] == 1:
+            self.order = np.argsort(keys[:, 0], kind="stable")
+        else:
+            self.order = np.lexsort(keys.T[::-1])
+        self.keys = keys[self.order]
+
+    def counts(self, queries):
+        """(lo, cnt): for each query row, the first sorted position of
+        its equal keys and how many there are."""
+        if self.keys.shape[1] == 1:
+            ks, qs = self.keys[:, 0], queries[:, 0]
+        else:
+            _, rank = np.unique(np.concatenate([self.keys, queries]),
+                                axis=0, return_inverse=True)
+            rank = rank.reshape(-1)
+            ks, qs = rank[:self.keys.shape[0]], rank[self.keys.shape[0]:]
+        lo = np.searchsorted(ks, qs, "left")
+        return lo, np.searchsorted(ks, qs, "right") - lo
+
+    def pairs(self, lo, cnt):
+        """(qi, ki): every query row qi with each input row ki of an equal
+        key, by query and then by input order, from counts(queries)."""
+        qi = np.repeat(np.arange(cnt.size), cnt)
+        step = np.arange(qi.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        return qi, self.order[lo[qi] + step]
 
 
 # largest total size of the subset tables of one search, summed over splits
@@ -254,19 +302,9 @@ def comb_xor_search_many(cols, targets, t, max_hits=1 << 22):
         # row j * nl + i is left subset i against target j
         lx = (np.bitwise_xor.reduce(cols[left], axis=1) ^ tgt).reshape(-1, nw)
         rx = np.bitwise_xor.reduce(cols[right], axis=1)
-        if nw == 1:
-            lx, rx = lx[:, 0], rx[:, 0]
-        else:
-            _, rank = np.unique(np.concatenate([lx, rx]), axis=0,
-                                return_inverse=True)
-            rank = rank.reshape(-1)
-            lx, rx = rank[:lx.shape[0]], rank[lx.shape[0]:]
-        order = np.argsort(rx, kind="stable")
-        rs = rx[order]
-        lo = np.searchsorted(rs, lx, "left")
-        cnt = np.searchsorted(rs, lx, "right") - lo
-        nhit = int(cnt.sum())
-        if not nhit:
+        table = KeyTable(rx)
+        lo, cnt = table.counts(lx)
+        if not cnt.any():
             continue
         hits += cnt.reshape(ntg, nl).sum(axis=1)
         over = np.flatnonzero(hits > max_hits)
@@ -275,9 +313,7 @@ def comb_xor_search_many(cols, targets, t, max_hits=1 << 22):
                                  % max_hits)
             err.owner = int(over[0])
             raise err
-        li = np.repeat(np.arange(lx.size), cnt)
-        step = np.arange(nhit) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        ri = order[lo[li] + step]
+        li, ri = table.pairs(lo, cnt)
         owner, li = np.divmod(li, nl)
         owners.append(owner)
         found.append(np.concatenate([left[li], right[ri]], axis=1))
@@ -286,10 +322,20 @@ def comb_xor_search_many(cols, targets, t, max_hits=1 << 22):
     owner = np.concatenate(owners)
     out = np.concatenate(found)
     if out.shape[0] > 1:
-        keys = tuple(out.T[::-1])
-        if ntg > 1:
-            # one target needs no owner key, which costs a tenth more sort
-            keys += (owner,)
-        order = np.lexsort(keys)
+        order = lex_order(owner, out, n)
         owner, out = owner[order], out[order]
     return owner, out
+
+
+def lex_order(owner, idx, n):
+    """The order of the rows of the (m, t) idx, whose entries lie in
+    [0, n), by owner and then lexicographically: one argsort of the
+    base-n key owner n^t + sum_c idx[:, c] n^(t-1-c) when it fits in
+    int64, else np.lexsort over the t + 1 columns."""
+    t = idx.shape[1]
+    if (int(owner.max(initial=0)) + 1) * n ** t <= np.iinfo(np.int64).max:
+        key = owner.astype(np.int64)
+        for c in range(t):
+            key = key * n + idx[:, c]
+        return np.argsort(key)
+    return np.lexsort(tuple(idx.T[::-1]) + (owner,))

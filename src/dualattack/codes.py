@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from ._kernels import coset_weight_hist, pack_rows
+from ._kernels import coset_weight_hist, ints_to_rows, pack_rows, row_ints
 from .errors import BudgetExceeded, DomainError, RankDeficient
 
 BitVec = np.ndarray
@@ -26,31 +26,41 @@ def as_bits(x):
 
 
 def gf2_matmul(a, b):
-    """Matrix product over GF(2)."""
-    return ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
+    """Matrix product over GF(2).  The integer sums come from a BLAS
+    product in float32, exact for inner dimensions below 2^24, or in
+    float64 past that."""
+    k = np.shape(a)[-1]
+    ft = np.float32 if k < 1 << 24 else np.float64
+    c = np.asarray(a, ft) @ np.asarray(b, ft)
+    # sums above 255 would wrap in a direct cast to uint8
+    return (c.astype(np.uint8 if k < 256 else np.int64) & 1).astype(np.uint8)
 
 
 def gf2_rref(a):
-    """Row-reduced echelon form.  Returns (rref, pivot_columns)."""
-    r = as_bits(a).copy()
-    m, n = r.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
+    """Row-reduced echelon form.  Returns (rref, pivot_columns).
+
+    Eliminates on rows held as Python ints (bit j is column j).  Each row
+    is reduced against the pivot rows found so far; a row left nonzero
+    pivots on its lowest set bit and clears that column from the others,
+    so the pivot rows stay fully reduced and, sorted, are the unique
+    reduced form."""
+    a = as_bits(a)
+    m, n = a.shape
+    piv = {}
+    for r in row_ints(a):
+        for c, row in piv.items():
+            if r >> c & 1:
+                r ^= row
+        if not r:
             continue
-        piv = row + nz[0]
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        hit = np.nonzero(r[:, col])[0]
-        hit = hit[hit != row]
-        r[hit] ^= r[row]
-        pivots.append(col)
-        row += 1
-    return r, pivots
+        c = (r & -r).bit_length() - 1
+        for pc, row in piv.items():
+            if row >> c & 1:
+                piv[pc] = row ^ r
+        piv[c] = r
+    pivots = sorted(piv)
+    rows = [piv[c] for c in pivots] + [0] * (m - len(pivots))
+    return ints_to_rows(rows, n), pivots
 
 
 def gf2_rank(a):
@@ -58,17 +68,18 @@ def gf2_rank(a):
 
 
 def gf2_nullspace(a):
-    """Basis of {x : a x^T = 0}, one vector per row (may be empty)."""
+    """Basis of {x : a x^T = 0}, one vector per row (may be empty): row i
+    is the free column free[i] plus the pivot columns whose rref rows
+    hold it."""
     a = as_bits(np.atleast_2d(a))
-    m, n = a.shape
+    n = a.shape[1]
     r, pivots = gf2_rref(a)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            if r[row, fc]:
-                basis[i, pc] = 1
+    free = np.ones(n, bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, n), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = r[:len(pivots), free].T
     return basis
 
 
@@ -85,34 +96,20 @@ def gf2_inv(a):
     return r[:, n:].copy()
 
 
-def gf2_solve(a, b):
-    """One solution x of x a = b (row-vector convention), or None."""
-    a = as_bits(np.atleast_2d(a))
-    b = as_bits(b).reshape(-1)
-    m, n = a.shape
-    aug = np.concatenate([a.T, b.reshape(-1, 1)], axis=1)
-    r, pivots = gf2_rref(aug)
-    x = np.zeros(m, dtype=np.uint8)
-    for row, pc in enumerate(pivots):
-        if pc == m:
-            return None
-        x[pc] = r[row, m]
-    if np.any(gf2_matmul(x.reshape(1, -1), a)[0] != b):
-        return None
-    return x
-
-
 class LinearCode:
     """An [n, k] binary code given by a full-rank generator matrix."""
 
     def __init__(self, generator, parity=None):
         g = as_bits(np.atleast_2d(generator))
         self.k, self.n = g.shape
-        if gf2_rank(g) != self.k:
+        if parity is None:
+            # the nullspace has n - rank rows, so it also checks the rank
+            parity = gf2_nullspace(g)
+            if parity.shape[0] != self.n - self.k:
+                raise RankDeficient("generator rows are dependent")
+        elif gf2_rank(g) != self.k:
             raise RankDeficient("generator rows are dependent")
         self.generator = g
-        if parity is None:
-            parity = gf2_nullspace(g)
         h = as_bits(np.atleast_2d(parity))
         if h.shape != (self.n - self.k, self.n):
             raise DomainError("parity matrix has the wrong shape")
@@ -225,9 +222,10 @@ def random_code(n, k, seed):
         raise DomainError("need 0 < k <= n")
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        g = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-        if gf2_rank(g) == k:
-            return LinearCode(g)
+        try:
+            return LinearCode(rng.integers(0, 2, size=(k, n), dtype=np.uint8))
+        except RankDeficient:
+            continue
     raise RankDeficient("no full-rank generator in 100 draws")
 
 

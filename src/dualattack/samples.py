@@ -2,36 +2,37 @@
 
 A sample pair is a dual word h with light N-projection together with an
 auxiliary codeword c_aux close to h_P.  The auxiliary code is decoded at
-exact radius t_aux through a precomputed syndrome table.
+exact radius t_aux through a precomputed syndrome table: every weight-t_aux
+pattern in lexicographic order, sorted stably by packed syndrome
+(`_kernels.KeyTable`, the sort-and-search core the meet-in-the-middle
+search also uses).  All of a sample set's h_P rows are looked up in one
+searchsorted, so pairs come out by dual word and then by the lexicographic
+order of the error support.  Dual words come in canonical packed order,
+sorted on one integer key when (h_N, h_P) fits in 64 bits.
 """
 
-import itertools
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from ._kernels import (_sort_pairs, comb_search_fits, comb_xor_search,
-                       gray_low_weight, pack_rows, row_ints, unpack_rows)
+from ._kernels import (KeyTable, _sort_pairs, _subsets, comb_search_fits,
+                       comb_xor_search, gray_low_weight, pack_rows,
+                       unpack_rows)
 from .codes import as_bits, gf2_matmul, random_code, systematic_form
 from .errors import BudgetExceeded, DomainError
 
 
 def build_syndrome_table(code, t_aux):
-    """Bucket every weight-t_aux error pattern by its syndrome, refusing
-    more than 10^7 patterns.
-
-    Keys are syndrome integers (bit i of the key is syndrome coordinate i),
-    values are (m, n) uint8 arrays in lexicographic support order."""
-    n = code.n
-    if comb(n, t_aux) > 10**7:
+    """Every weight-t_aux error pattern keyed by its packed syndrome,
+    refusing more than 10^7 patterns.  Returns (table, supports): supports
+    lists the patterns' positions in lexicographic order, and table is a
+    KeyTable over their syndromes, so equal syndromes keep that order."""
+    if comb(code.n, t_aux) > 10**7:
         raise BudgetExceeded("too many weight-%d patterns" % t_aux)
-    buckets = {}
-    for support in itertools.combinations(range(n), t_aux):
-        e = np.zeros(n, np.uint8)
-        e[list(support)] = 1
-        buckets.setdefault(row_ints(code.syndrome(e))[0], []).append(e)
-    return {k: np.array(v, np.uint8) for k, v in buckets.items()}
+    supports = _subsets(0, code.n, t_aux)
+    cols = pack_rows(code.parity.T)
+    return KeyTable(np.bitwise_xor.reduce(cols[supports], axis=1)), supports
 
 
 class AuxCode:
@@ -47,11 +48,24 @@ class AuxCode:
         self.k_aux = k_aux
         self.t_aux = t_aux
         self.code = code
-        self.syndrome_table = build_syndrome_table(code, t_aux)
+        self.syndrome_table, self.supports = build_syndrome_table(code,
+                                                                  t_aux)
 
     @classmethod
     def random(cls, s, k_aux, t_aux, seed):
         return cls(s, k_aux, t_aux, random_code(s, k_aux, seed))
+
+
+def _decode_rows(aux, z):
+    """(rows, caux): every auxiliary codeword at distance exactly t_aux
+    from each row of the (m, s) z, by row and then by the lexicographic
+    order of the error support, found with one syndrome-table lookup."""
+    table = aux.syndrome_table
+    rows, pat = table.pairs(*table.counts(pack_rows(
+        gf2_matmul(z, aux.code.parity.T))))
+    caux = z[rows]
+    caux[np.arange(rows.size)[:, None], aux.supports[pat]] ^= 1
+    return rows, caux
 
 
 def aux_decode(aux, z):
@@ -60,10 +74,7 @@ def aux_decode(aux, z):
     z = as_bits(z).reshape(-1)
     if z.size != aux.s:
         raise DomainError("word length differs from s")
-    pats = aux.syndrome_table.get(row_ints(aux.code.syndrome(z))[0])
-    if pats is None:
-        return np.zeros((0, aux.s), np.uint8)
-    return (z[None, :] ^ pats).astype(np.uint8)
+    return _decode_rows(aux, z[None, :])[1]
 
 
 def enumerate_dual_low_weight(code, part, w, max_hits=1 << 24, sf=None):
@@ -120,34 +131,13 @@ class SampleSet:
         return out
 
 
-def _pair_rows(hn, hp, aux):
-    # one batched syndrome computation instead of a decode per row
-    synd = gf2_matmul(hp, aux.code.parity.T)
-    idx, pats = [], []
-    for i, key in enumerate(row_ints(synd)):
-        p = aux.syndrome_table.get(key)
-        if p is not None:
-            idx.append(np.full(p.shape[0], i, np.int64))
-            pats.append(p)
-    if not idx:
-        return None
-    rep = np.concatenate(idx)
-    hp2 = hp[rep]
-    return hn[rep], hp2, hp2 ^ np.concatenate(pats)
-
-
 def build_sample_set(code, part, w, aux, budget=None, seed=0, sf=None):
     """Enumerate the full pair set; subsample uniformly without
     replacement when budget is smaller than the full count.  sf, the
     systematic form of code against part, is passed to the enumeration."""
     hn, hp = enumerate_dual_low_weight(code, part, w, sf=sf)
-    got = _pair_rows(hn, hp, aux)
-    if got is None:
-        hn2 = np.zeros((0, code.n - part.s), np.uint8)
-        hp2 = np.zeros((0, part.s), np.uint8)
-        ca2 = np.zeros((0, part.s), np.uint8)
-    else:
-        hn2, hp2, ca2 = got
+    rows, ca2 = _decode_rows(aux, hp)
+    hn2, hp2 = hn[rows], hp[rows]
     complete = True
     if budget is not None and budget < hn2.shape[0]:
         rng = np.random.default_rng(seed)

@@ -51,21 +51,97 @@ def test_nullspace_is_orthogonal_complement(m, n, seed):
         assert not np.any(C.gf2_matmul(a, ns.T))
 
 
-@given(st.integers(2, 7), st.integers(2, 12), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_gf2_solve_roundtrip(m, n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-    x0 = rng.integers(0, 2, size=m, dtype=np.uint8)
-    b = C.gf2_matmul(x0.reshape(1, -1), a)[0]
-    x = C.gf2_solve(a, b)
-    assert x is not None
-    assert np.array_equal(C.gf2_matmul(x.reshape(1, -1), a)[0], b)
+def _rref_reference(a):
+    # plain column-by-column elimination over GF(2) on a uint8 copy
+    r = np.array(a, np.uint8)
+    m, n = r.shape
+    pivots, row = [], 0
+    for col in range(n):
+        hit = [i for i in range(row, m) if r[i, col]]
+        if not hit:
+            continue
+        r[[row, hit[0]]] = r[[hit[0], row]]
+        for i in range(m):
+            if i != row and r[i, col]:
+                r[i] ^= r[row]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return r, pivots
 
 
-def test_gf2_solve_inconsistent():
-    a = np.array([[1, 0, 0], [0, 1, 0]], np.uint8)
-    assert C.gf2_solve(a, np.array([0, 0, 1], np.uint8)) is None
+def _rref_cases():
+    rng = np.random.default_rng(19)
+    cases = [np.zeros((0, 5), np.uint8), np.zeros((4, 0), np.uint8),
+             np.zeros((0, 0), np.uint8), np.zeros((3, 7), np.uint8)]
+    for m, n in [(1, 1), (5, 9), (12, 6), (20, 40), (9, 70), (30, 130)]:
+        cases.append(rng.integers(0, 2, size=(m, n), dtype=np.uint8))
+    # repeated and zero rows among random ones, wider than one word
+    a = rng.integers(0, 2, size=(6, 80), dtype=np.uint8)
+    cases.append(np.concatenate([a, a[:3], np.zeros((2, 80), np.uint8)]))
+    # sparse columns: pivots skip many columns
+    cases.append((rng.random((15, 100)) < 0.05).astype(np.uint8))
+    return cases
+
+
+@pytest.mark.parametrize("a", _rref_cases(), ids=lambda a: "x".join(map(str, a.shape)))
+def test_gf2_rref_matches_plain_elimination(a):
+    r, pivots = C.gf2_rref(a)
+    ref, ref_pivots = _rref_reference(a)
+    assert r.dtype == np.uint8 and r.shape == a.shape
+    assert np.array_equal(r, ref)
+    assert pivots == ref_pivots
+
+
+def test_gf2_nullspace_matches_loop_fill():
+    # reference: the free column plus the pivot columns whose rref row
+    # holds it, one entry at a time
+    rng = np.random.default_rng(23)
+    for m, n in [(4, 9), (9, 4), (7, 70), (0, 3)]:
+        a = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        r, pivots = _rref_reference(a)
+        free = [c for c in range(n) if c not in pivots]
+        ref = np.zeros((len(free), n), np.uint8)
+        for i, fc in enumerate(free):
+            ref[i, fc] = 1
+            for row, pc in enumerate(pivots):
+                ref[i, pc] = r[row, fc]
+        assert np.array_equal(C.gf2_nullspace(a), ref)
+
+
+@pytest.mark.parametrize("k", [0, 1, 37, 255, 256, 300, 1000])
+def test_gf2_matmul_matches_int64(k):
+    # all-ones rows give sums of k, past the uint8 range from k = 256 on
+    rng = np.random.default_rng(k)
+    a = rng.integers(0, 2, size=(7, k), dtype=np.uint8)
+    b = rng.integers(0, 2, size=(k, 5), dtype=np.uint8)
+    a[0] = 1
+    b[:, 0] = 1
+    got = C.gf2_matmul(a, b)
+    ref = ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
+    assert got.dtype == np.uint8 and np.array_equal(got, ref)
+    assert got[0, 0] == k & 1
+
+
+def test_random_code_rejects_dependent_draws():
+    # k = n draws need luck to be full rank; the first full-rank draw of
+    # the stream is kept, and the code is the one LinearCode builds
+    rng = np.random.default_rng(4)
+    draws = 0
+    while True:
+        draws += 1
+        g = rng.integers(0, 2, size=(6, 6), dtype=np.uint8)
+        if C.gf2_rank(g) == 6:
+            break
+    assert draws > 1
+    code = C.random_code(6, 6, 4)
+    assert np.array_equal(code.generator, g)
+    assert code.parity.shape == (0, 6)
+    with pytest.raises(RankDeficient):
+        C.LinearCode(np.ones((2, 5), np.uint8))
+    with pytest.raises(RankDeficient):
+        C.LinearCode(np.ones((2, 5), np.uint8), np.zeros((3, 5), np.uint8))
 
 
 def test_hamming_coset_enumerator():

@@ -3,6 +3,7 @@ syndrome decoding against full scans, and the assembled double-RLPN loop
 on planted instances."""
 
 import functools
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb
@@ -392,6 +393,26 @@ def test_double_rlpn_planted():
             assert int(e.sum()) == 3
             assert code.contains(inst.y ^ e)
     assert found >= 4
+
+
+def test_double_rlpn_frozen_one_trial_decodes():
+    # (e, trials_used) of 40 one-trial README-config decodes, digested
+    # before the sample-set construction worked on whole arrays
+    h = hashlib.sha256()
+    found = 0
+    for s in range(40):
+        code = C.random_code(40, 20, seed=[s, 101])
+        inst = C.DecodingInstance.plant(code, 5, seed=[s, 102])
+        p = D.DoubleRlpnParams(s=16, u=3, w=5, k_aux=8, t_aux=1, N_iter=1,
+                               seed=s)
+        stats = {}
+        e = D.double_rlpn(inst, p, stats)
+        found += e is not None
+        h.update(b"none" if e is None else e.tobytes())
+        h.update(str(stats["trials_used"]).encode())
+    assert 0 < found < 40
+    assert h.hexdigest() == \
+        "070657d97f6a89088196c887cbcc10c8e6a48cb037946b0e37a97e9b8e4c58f7"
 
 
 def test_double_rlpn_soundness_no_solution():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualattack import codes as C
 from dualattack import fourier as F
@@ -24,6 +26,40 @@ def _setup(seed=2):
     ss = S.build_sample_set(code, part, 2, aux)
     y = rng.integers(0, 2, size=12, dtype=np.uint8)
     return code, part, aux, ss, y
+
+
+def gf2_solve(a, b):
+    """One solution x of x a = b (row-vector convention), or None: the
+    reference that puts a point in each fiber of the score table."""
+    a = C.as_bits(np.atleast_2d(a))
+    b = C.as_bits(b).reshape(-1)
+    m = a.shape[0]
+    r, pivots = C.gf2_rref(np.concatenate([a.T, b.reshape(-1, 1)], axis=1))
+    x = np.zeros(m, dtype=np.uint8)
+    for row, pc in enumerate(pivots):
+        if pc == m:
+            return None
+        x[pc] = r[row, m]
+    if np.any(C.gf2_matmul(x.reshape(1, -1), a)[0] != b):
+        return None
+    return x
+
+
+@given(st.integers(2, 7), st.integers(2, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_gf2_solve_roundtrip(m, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    x0 = rng.integers(0, 2, size=m, dtype=np.uint8)
+    b = C.gf2_matmul(x0.reshape(1, -1), a)[0]
+    x = gf2_solve(a, b)
+    assert x is not None
+    assert np.array_equal(C.gf2_matmul(x.reshape(1, -1), a)[0], b)
+
+
+def test_gf2_solve_inconsistent():
+    a = np.array([[1, 0, 0], [0, 1, 0]], np.uint8)
+    assert gf2_solve(a, np.array([0, 0, 1], np.uint8)) is None
 
 
 def _fhat_brute(y, ss, x):
@@ -54,7 +90,7 @@ def test_fhat_matches_brute_definition_on_fibers():
     # fiber of u: any x with g x^T = u, shifted by the kernel of g
     for u in range(1 << aux.k_aux):
         ub = F.index_to_bits(u, aux.k_aux)
-        x = C.gf2_solve(g.T, ub)
+        x = gf2_solve(g.T, ub)
         assert x is not None
         assert _fhat_brute(y, ss, x) == int(table.values[u])
         ker = C.gf2_nullspace(g)

@@ -15,6 +15,7 @@ def test_pack_unpack_roundtrip(m, n, seed):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
     assert np.array_equal(K.unpack_rows(K.pack_rows(bits), n), bits)
+    assert np.array_equal(K.ints_to_rows(K.row_ints(bits), n), bits)
 
 
 def _brute_low_weight(basis_n, basis_p, w):
@@ -271,6 +272,63 @@ def test_comb_xor_search_many_budget_per_target():
     with pytest.raises(BudgetExceeded) as err:
         K.comb_xor_search(cols, 0, 2, max_hits=9)
     assert err.value.owner == 0
+
+
+@pytest.mark.parametrize("n, t, ntg, fits", [
+    (24, 5, 1, True), (24, 5, 300, True), (16, 0, 4, True),
+    (1000, 6, 9, True), (1000, 6, 10, False), (1000, 7, 1, False),
+    (2**20, 3, 2**5, False)])
+def test_lex_order_matches_lexsort(monkeypatch, n, t, ntg, fits):
+    # distinct rows of entries below n in random order; past 2^63 - 1 the
+    # base-n key owner n^t + ... no longer fits and np.lexsort runs
+    rng = np.random.default_rng([n, t, ntg])
+    owner = rng.integers(0, ntg, size=400)
+    owner[0] = ntg - 1
+    idx = rng.integers(0, n, size=(400, t))
+    idx[:, :1] = rng.integers(0, min(n, 3), size=(400, min(t, 1)))
+    _, keep = np.unique(np.column_stack([owner, idx]), axis=0,
+                        return_index=True)
+    keep = rng.permutation(keep)
+    owner, idx = owner[keep], idx[keep]
+    assert (ntg * n ** t <= np.iinfo(np.int64).max) == fits
+    ref = np.lexsort(tuple(idx.T[::-1]) + (owner,))
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort",
+                        lambda keys: calls.append(1) or lexsort(keys))
+    order = K.lex_order(owner, idx, n)
+    assert np.array_equal(order, ref)
+    assert not np.array_equal(order, np.arange(order.size))
+    assert calls == ([] if fits else [1])
+
+
+def test_sort_pairs_one_key_matches_lexsort():
+    # single words whose bits fit 64 together take the one-key sort; wider
+    # ones the lexsort; both give the order of (hn words, hp words)
+    rng = np.random.default_rng(43)
+    for nn, s in [(24, 16), (40, 24), (50, 20), (70, 10)]:
+        hn = K.pack_rows(rng.integers(0, 2, size=(300, nn), dtype=np.uint8))
+        hp = K.pack_rows(rng.integers(0, 2, size=(300, s), dtype=np.uint8))
+        hn[::7] = hn[0]
+        got_n, got_p = K._sort_pairs(hn, hp)
+        keys = tuple(hp.T[::-1]) + tuple(hn.T[::-1])
+        order = np.lexsort(keys)
+        assert np.array_equal(got_n, hn[order])
+        assert np.array_equal(got_p, hp[order])
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_key_table_matches_scan(wide):
+    rng = np.random.default_rng(47)
+    nw = 2 if wide else 1
+    keys = rng.integers(0, 4, size=(60, nw), dtype=np.uint64)
+    queries = rng.integers(0, 5, size=(25, nw), dtype=np.uint64)
+    table = K.KeyTable(keys)
+    qi, ki = table.pairs(*table.counts(queries))
+    ref = [(i, j) for i in range(25) for j in range(60)
+           if np.array_equal(queries[i], keys[j])]
+    assert list(zip(qi.tolist(), ki.tolist())) == ref
+    assert len(ref) > 25
 
 
 def test_dot_parity():

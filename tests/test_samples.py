@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from math import comb
@@ -38,12 +41,41 @@ def test_aux_decode_equals_exhaustive_scan(seed):
 
 def test_syndrome_table_covers_all_patterns():
     aux = S.AuxCode.random(9, 3, 2, 4)
-    total = sum(v.shape[0] for v in aux.syndrome_table.values())
-    assert total == comb(9, 2)
-    for key, pats in aux.syndrome_table.items():
-        assert np.all(pats.sum(axis=1) == 2)
-        for p in pats:
-            assert row_ints(aux.code.syndrome(p)) == [key]
+    table, supports = aux.syndrome_table, aux.supports
+    assert supports.shape == (comb(9, 2), 2) == (table.keys.shape[0], 2)
+    assert [tuple(r) for r in supports] == \
+        list(itertools.combinations(range(9), 2))
+    keys = [int(k) for k in table.keys[:, 0]]
+    assert keys == sorted(keys)
+    groups = {}
+    for key, i in zip(keys, table.order):
+        pat = np.zeros(9, np.uint8)
+        pat[supports[i]] = 1
+        assert pat.sum() == 2
+        assert row_ints(aux.code.syndrome(pat)) == [key]
+        groups.setdefault(key, []).append(tuple(supports[i]))
+    # equal syndromes keep the lexicographic order of their supports
+    assert max(len(g) for g in groups.values()) > 1
+    for g in groups.values():
+        assert g == sorted(g)
+
+
+def test_sample_set_frozen_digest():
+    # a t_aux = 2 sample set of the README shape, several patterns per
+    # auxiliary syndrome; the digest was taken before the syndrome table
+    # became a sorted array
+    code = C.random_code(40, 20, seed=[5, 101])
+    part, sf = C.draw_partition(
+        code, 16, itertools.repeat(np.random.default_rng(3), 200))
+    aux = S.AuxCode.random(16, 8, 2, seed=[5, 7])
+    ss = S.build_sample_set(code, part, 5, aux, sf=sf)
+    h = hashlib.sha256()
+    for a in (ss.hn, ss.hp, ss.caux):
+        h.update(str(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert ss.count == 1268
+    assert h.hexdigest() == \
+        "35e7bdba858418bfa73afd0ce4b03e29778aaa2f315dc2891fc9cd55fb183c6a"
 
 
 def _gray(code, part, w):
@@ -189,7 +221,8 @@ def test_pair_paths_agree_on_wide_aux_syndromes():
     hp = _all_words(aux.code)[rng.integers(0, 4, size=40)]
     hp[np.arange(40), rng.integers(0, 70, size=40)] ^= 1
     hn = rng.integers(0, 2, size=(40, 9), dtype=np.uint8)
-    got = S._pair_rows(hn, hp, aux)
+    rows, caux = S._decode_rows(aux, hp)
+    got = hn[rows], hp[rows], caux
     # reference: one aux_decode per row, pairs in row order
     rows = [(hn[i], hp[i], c) for i in range(40) for c in S.aux_decode(aux, hp[i])]
     want = [np.array(col, np.uint8) for col in zip(*rows)]
