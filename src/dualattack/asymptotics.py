@@ -37,6 +37,10 @@ INF = math.inf
 
 ALGORITHMS = ("prange", "dumer", "bjmm-eq", "double-rlpn")
 
+# Nelder-Mead starts per double-RLPN point: the 24 (sigma, R_aux) cells,
+# the 4 refinements of the best of them, and seeded random starts
+RESTARTS = 64
+
 RESIDUAL_LABELS = (
     "sigma_cap",
     "mu_lower",
@@ -535,22 +539,22 @@ def _run_split(pool, R, tau, N_aux, prefix, specs):
     return far.result() + near
 
 
-def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
-    """Minimize the dual-attack exponent at rate R and distance tau.
+def double_rlpn_exponent(R, N_aux=1, seed=0):
+    """Minimize the dual-attack exponent at rate R, decoding at the
+    Gilbert-Varshamov distance.
 
-    tau defaults to the Gilbert-Varshamov distance.  The auxiliary radius
-    is tied to its own code's Gilbert-Varshamov bound throughout, so the
-    search runs over (sigma, R_aux, omega, mu) with constraint penalties;
-    candidates are re-verified exactly and only certified points are
-    reported feasible.  warm optionally seeds extra start vectors."""
+    The auxiliary radius is tied to its own code's Gilbert-Varshamov
+    bound throughout, so the search runs over (sigma, R_aux, omega, mu)
+    with constraint penalties: a fixed lattice of (sigma, R_aux) cells,
+    its best four refined, and RESTARTS - 28 starts drawn from seed.
+    Candidates are re-verified exactly and only certified points are
+    reported feasible.  The point is a function of (R, N_aux, seed)
+    alone."""
     if not 0 < R < 1:
         raise DomainError("rate outside (0, 1)")
-    if tau is None:
-        tau = h2_inv(1.0 - R)
-    if not 0 <= tau <= 0.5:
-        raise DomainError("tau outside [0, 1/2]")
     if N_aux < 1:
         raise DomainError("N_aux below 1")
+    tau = h2_inv(1.0 - R)
 
     exact = partial(_exact, R, tau, N_aux)
 
@@ -558,18 +562,11 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
     # lattice there with a cheap inner search over (omega, mu) so the basin
     # ranking never depends on the seed
     cells = []
-    if warm:
-        for w in warm:
-            w = np.asarray(w, dtype=np.float64)
-            for fs in (0.92, 1.0, 1.08):
-                for fr in (0.85, 1.0, 1.18):
-                    cells.append(np.array([w[0] * fs, w[1] * fr, w[2], w[3]]))
-    if not warm or restarts >= 30:
-        for fs in (0.3, 0.42, 0.54, 0.66, 0.78, 0.9):
-            sig = min(max(fs * R, 1e-4), min(R, 1.0 - 1e-4))
-            ob = h2_inv(min(max((R - sig) / (1.0 - sig), 0.0), 1.0))
-            for fr in (0.2, 0.4, 0.6, 0.8):
-                cells.append(np.array([sig, fr * sig, 0.7 * ob * (1.0 - sig), (1.0 - sig) * tau]))
+    for fs in (0.3, 0.42, 0.54, 0.66, 0.78, 0.9):
+        sig = min(max(fs * R, 1e-4), min(R, 1.0 - 1e-4))
+        ob = h2_inv(min(max((R - sig) / (1.0 - sig), 0.0), 1.0))
+        for fr in (0.2, 0.4, 0.6, 0.8):
+            cells.append(np.array([sig, fr * sig, 0.7 * ob * (1.0 - sig), (1.0 - sig) * tau]))
     cells = np.array(cells)
     with _worker() as pool:
         ends = _run_split(pool, R, tau, N_aux, cells[:, :2],
@@ -578,11 +575,11 @@ def double_rlpn_exponent(R, tau=None, N_aux=1, restarts=64, seed=0, warm=None):
                         key=lambda r: r[0])
 
         # refine the best cells in 4-d; seeded random starts run beside them
-        top = np.array([x0 for _, x0 in ranked[: min(4, max(restarts, 2))]])
+        top = np.array([x0 for _, x0 in ranked[:4]])
         specs = [(s, 1400, 1e-10, 1e-13, True) for s in _simplex(top)]
         rng = np.random.default_rng([seed, int(round(R * 1e9)), int(round(tau * 1e9)), N_aux])
         starts = []
-        for _ in range(max(0, restarts - len(cells) - 4)):
+        for _ in range(max(0, RESTARTS - len(cells) - 4)):
             sig = R * (0.35 + 0.63 * rng.random())
             R_aux = sig * (0.1 + 0.8 * rng.random())
             omega = (1.0 - sig) / 2.0 * 0.6 * rng.random() ** 1.5
@@ -650,9 +647,10 @@ def _repair(x, got, R, tau, exact):
 def exponent_curve(algorithms, R_grid, seed=0, N_aux=1):
     """Exponent points for each named algorithm along a rate grid.
 
-    Points come back algorithm-major in the given orders.  The dual
-    attack is warm-started from the previous grid point and repaired
-    wherever adjacent values jump by more than optimizer noise."""
+    Points come back algorithm-major in the given orders.  Each point is
+    computed on its own: a double-RLPN point equals
+    double_rlpn_exponent(R, N_aux=N_aux, seed=seed), whatever other rates
+    the grid holds and in whatever order."""
     for a in algorithms:
         if a not in ALGORITHMS:
             raise DomainError("unknown algorithm " + repr(a))
@@ -662,50 +660,16 @@ def exponent_curve(algorithms, R_grid, seed=0, N_aux=1):
             raise DomainError("rate outside (0, 1)")
     out = []
     for alg in algorithms:
-        if alg != "double-rlpn":
-            for r in grid:
-                tau = h2_inv(r if alg == "bjmm-eq" else 1.0 - r)
-                if alg == "prange":
-                    alpha = prange_exponent(r)
-                elif alg == "dumer":
-                    alpha = dumer_exponent(r, tau)[0]
-                else:
-                    alpha = bjmm_eq_exponent(r, tau)
-                out.append(ExponentPoint(r, tau, alpha, None, math.isfinite(alpha), [], alg))
-            continue
-        pts = []
         for r in grid:
-            # each point warm-starts from its predecessor's argmin
-            p = pts[-1].argmin if pts else None
-            warm = None if p is None else [np.array([p.sigma, p.R_aux, p.omega, p.mu])]
-            pts.append(double_rlpn_exponent(r, N_aux=N_aux, restarts=20 if pts else 64, seed=seed,
-                                            warm=warm))
-        out.extend(_smooth_curve(pts, seed, N_aux))
+            if alg == "double-rlpn":
+                out.append(double_rlpn_exponent(r, N_aux=N_aux, seed=seed))
+                continue
+            tau = h2_inv(r if alg == "bjmm-eq" else 1.0 - r)
+            if alg == "prange":
+                alpha = prange_exponent(r)
+            elif alg == "dumer":
+                alpha = dumer_exponent(r, tau)[0]
+            else:
+                alpha = bjmm_eq_exponent(r, tau)
+            out.append(ExponentPoint(r, tau, alpha, None, math.isfinite(alpha), [], alg))
     return out
-
-
-def _smooth_curve(pts, seed, N_aux):
-    # re-run any point sitting above a neighbor by more than local slope
-    # allows, warm-started from that neighbor
-    for _ in range(2):
-        changed = False
-        for i in range(len(pts)):
-            for j in (i - 1, i + 1):
-                if not 0 <= j < len(pts):
-                    continue
-                a, b = pts[i], pts[j]
-                if not (a.feasible and b.feasible):
-                    continue
-                if a.alpha - b.alpha <= 0.005:
-                    continue
-                p = b.argmin
-                warm = [np.array([p.sigma, p.R_aux, p.omega, p.mu])]
-                redo = double_rlpn_exponent(
-                    a.R, tau=a.tau, N_aux=N_aux, restarts=8, seed=seed + 1, warm=warm
-                )
-                if redo.feasible and redo.alpha < a.alpha:
-                    pts[i] = redo
-                    changed = True
-        if not changed:
-            break
-    return pts

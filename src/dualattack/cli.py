@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import asymptotics
 from .asymptotics import ALGORITHMS, exponent_curve
 from .codes import DecodingInstance, draw_partition, random_code
 from .decoder import DoubleRlpnParams, double_rlpn
@@ -360,7 +361,8 @@ def _cmd_exponent(args):
               rows)
     write_metadata(args.out, "exponent", args.seed,
                    {"algs": algs, "rmin": args.rmin, "rmax": args.rmax,
-                    "step": args.step, "N_aux": args.naux}, t0)
+                    "step": args.step, "N_aux": args.naux,
+                    "restarts": asymptotics.RESTARTS}, t0)
     return 0
 
 

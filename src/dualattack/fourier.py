@@ -41,18 +41,17 @@ class CandidateSet:
     def __init__(self, k_aux, threshold, members):
         self.k_aux = k_aux
         self.threshold = Fraction(threshold)
-        self.members = sorted(
-            members, key=lambda ms: (-ms[1], _index_bits(ms[0], k_aux)))
+        idx, score = np.array(members, np.int64).reshape(-1, 2).T
+        # index bit j weighs 2^(k_aux - 1 - j): ascending keys follow the
+        # message bits lexicographically
+        rev = index_to_bits(idx, k_aux) @ (1 << np.arange(k_aux - 1, -1, -1))
+        self.members = [members[i] for i in np.lexsort((rev, -score)).tolist()]
 
     def __len__(self):
         return len(self.members)
 
     def indices(self):
         return [m for m, _ in self.members]
-
-
-def _index_bits(idx, k):
-    return tuple((idx >> j) & 1 for j in range(k))
 
 
 def index_to_bits(idx, k):

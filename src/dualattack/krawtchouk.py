@@ -124,22 +124,6 @@ def kappa_tilde(tau, omega):
     return (1 - h2(tau) + h2(omega)) / 2
 
 
-def kappa_tilde_many(taus, omega):
-    """Vectorized kappa_tilde over an array of evaluation points.
-
-    Same branch structure as kappa_tilde with a fixed omega; used by the
-    asymptotic optimizer where per-call scalar dispatch is too slow."""
-    if not (0 <= omega <= 0.5):
-        raise DomainError("omega outside [0, 1/2]")
-    t = np.asarray(taus, dtype=np.float64)
-    if t.size and (t.min() < 0 or t.max() > 1):
-        raise DomainError("tau outside [0, 1]")
-    t = np.minimum(t, 1.0 - t)
-    if omega == 0:
-        return np.zeros_like(t)
-    return _kappa_grid(t, omega, h2(omega), _omega_perp(omega), _h2v(t))
-
-
 def _h2v(x):
     # vector entropy; nan outside [0, 1] so callers can mask invalid cells
     x = np.asarray(x, dtype=np.float64)

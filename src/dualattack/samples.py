@@ -68,19 +68,14 @@ def _decode_rows(aux, z):
     return rows, caux
 
 
-def aux_decode(aux, z):
-    """All auxiliary codewords at distance exactly t_aux from z, as a
-    (m, s) uint8 array (m may be zero)."""
-    z = as_bits(z).reshape(-1)
-    if z.size != aux.s:
-        raise DomainError("word length differs from s")
-    return _decode_rows(aux, z[None, :])[1]
+# dual words one enumerate_dual_low_weight call may return
+MAX_DUAL_WORDS = 1 << 24
 
 
-def enumerate_dual_low_weight(code, part, w, max_hits=1 << 24, sf=None):
+def enumerate_dual_low_weight(code, part, w, sf=None):
     """All dual words h with |h_N| = w, as (h_n, h_p) uint8 arrays in
-    canonical packed order.  sf is the systematic form of code against
-    part, computed here when not given.
+    canonical packed order, refusing more than MAX_DUAL_WORDS.  sf is the
+    systematic form of code against part, computed here when not given.
 
     Meets in the middle over the weight split of h_N against the
     shortened-code parity condition h_N Rprime^T = 0, then sets
@@ -93,11 +88,11 @@ def enumerate_dual_low_weight(code, part, w, max_hits=1 << 24, sf=None):
             raise BudgetExceeded("gray sweep capped at 2^34 dual words")
         hn, hp = gray_low_weight(pack_rows(code.parity[:, part.npos]),
                                  pack_rows(code.parity[:, part.ppos]),
-                                 w, max_hits=max_hits)
+                                 w, max_hits=MAX_DUAL_WORDS)
         return unpack_rows(hn, nn), unpack_rows(hp, s)
     if sf is None:
         sf = systematic_form(code, part)
-    idx = comb_xor_search(pack_rows(sf.rprime.T), 0, w, max_hits=max_hits)
+    idx = comb_xor_search(pack_rows(sf.rprime.T), 0, w, max_hits=MAX_DUAL_WORDS)
     # h_N is the xor of the unit words at idx, h_P that of the rows of R^T
     units = pack_rows(np.eye(nn, dtype=np.uint8))
     hn = np.bitwise_xor.reduce(units[idx], axis=1)
@@ -122,13 +117,6 @@ class SampleSet:
     @property
     def count(self):
         return int(self.hn.shape[0])
-
-    def h_full(self):
-        """Dual words back in original column order, (count, n)."""
-        out = np.zeros((self.count, self.n), np.uint8)
-        out[:, self.part.ppos] = self.hp
-        out[:, self.part.npos] = self.hn
-        return out
 
 
 def build_sample_set(code, part, w, aux, budget=None, seed=0, sf=None):

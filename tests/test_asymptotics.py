@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dualattack import asymptotics as A
 from dualattack.errors import DomainError
-from dualattack.krawtchouk import _omega_perp, h2, h2_inv, kappa_tilde, kappa_tilde_many
+from dualattack.krawtchouk import _omega_perp, h2, h2_inv, kappa_tilde
 
 
 @contextmanager
@@ -24,6 +24,15 @@ def _cores(n):
         yield
 
 
+@contextmanager
+def _restarts(k):
+    # the Nelder-Mead start budget of every double-RLPN point: 12 and 20
+    # leave only the 24 cells and 4 refinements, 64 is the default
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "RESTARTS", k)
+        yield
+
+
 def _forks_here():
     with A._worker() as pool:
         return pool is not None
@@ -31,14 +40,21 @@ def _forks_here():
 
 @pytest.fixture(scope="module")
 def drlpn_point():
-    with _cores(2):
-        return A.double_rlpn_exponent(0.2, restarts=20, seed=0)
+    with _cores(2), _restarts(20):
+        return A.double_rlpn_exponent(0.2, seed=0)
 
 
 @pytest.fixture(scope="module")
 def extremes():
+    with _cores(2), _restarts(12):
+        return [A.double_rlpn_exponent(r, seed=0) for r in (0.02, 0.98)]
+
+
+@pytest.fixture(scope="module")
+def drlpn_042():
+    # the default 64 restarts, so seeded random starts run too
     with _cores(2):
-        return [A.double_rlpn_exponent(r, restarts=12, seed=0) for r in (0.02, 0.98)]
+        return A.double_rlpn_exponent(0.42, seed=5)
 
 
 def test_prange_max_location():
@@ -113,6 +129,13 @@ def test_dumer_grids_problems_do_not_interact():
     assert together[1] == (0.0, 0.0, 0.0, 0.0)
 
 
+def _kappa_many(t, omega):
+    # kappa_tilde over the grid t in [0, 1/2], as the optimizer evaluates it
+    if omega == 0:
+        return np.zeros_like(t)
+    return A._kappa_grid(t, omega, h2(omega), _omega_perp(omega), A._h2v(t))
+
+
 def _candidate_full_scan(R, sigma, tau, mu, omega_bar, tau_bar):
     # reference for _candidate_exponent: the same zoom, scanning every cell
     d1 = min((tau - mu) / sigma, 1.0)
@@ -121,8 +144,8 @@ def _candidate_full_scan(R, sigma, tau, mu, omega_bar, tau_bar):
     zg = eg = np.linspace(0.0, 0.5, 129)
     best = 0.0
     for _ in range(2):
-        ka = sigma * kappa_tilde_many(zg, tau_bar)
-        kb = (1.0 - sigma) * kappa_tilde_many(eg, omega_bar)
+        ka = sigma * _kappa_many(zg, tau_bar)
+        kb = (1.0 - sigma) * _kappa_many(eg, omega_bar)
         obj = sigma * A._h2v(zg)[:, None] + (1.0 - sigma) * A._h2v(eg)[None, :] - (1.0 - R)
         mask = ka[:, None] + kb[None, :] >= anchor - 1e-12
         if not mask.any():
@@ -258,8 +281,9 @@ def test_drlpn_frozen_point(drlpn_point):
 def test_drlpn_restart_stability():
     # 32 restarts leave 32 - 24 cells - 4 refinements = 4 seeded starts,
     # so the two seeds search from different points
-    a = A.double_rlpn_exponent(0.2, restarts=32, seed=0)
-    b = A.double_rlpn_exponent(0.2, restarts=32, seed=3)
+    with _restarts(32):
+        a = A.double_rlpn_exponent(0.2, seed=0)
+        b = A.double_rlpn_exponent(0.2, seed=3)
     assert abs(a.alpha - b.alpha) <= 1e-4
 
 
@@ -312,8 +336,6 @@ def test_drlpn_exponent_domain():
     with pytest.raises(DomainError):
         A.double_rlpn_exponent(0.0)
     with pytest.raises(DomainError):
-        A.double_rlpn_exponent(0.2, tau=0.7)
-    with pytest.raises(DomainError):
         A.double_rlpn_exponent(0.2, N_aux=0)
 
 
@@ -324,21 +346,30 @@ def test_drlpn_small_at_rate_extremes(extremes):
     assert hi.alpha < A.prange_exponent(0.98)
 
 
-def test_split_matches_in_process(drlpn_point, extremes):
+def test_split_matches_in_process(drlpn_point, extremes, drlpn_042):
     # every point of the forked two-process split equals the in-process
-    # run field for field: cold starts at 12, 20 and 64 restarts, and a
-    # curve's warm-started points after _smooth_curve
+    # run field for field, at 12, 20 and 64 restarts
     with _cores(2):
         assert _forks_here()
-        split = [*extremes, drlpn_point, A.double_rlpn_exponent(0.42, restarts=64, seed=5),
-                 *A.exponent_curve(["double-rlpn"], [0.40, 0.42, 0.44])]
+    split = [*extremes, drlpn_point, drlpn_042]
     assert multiprocessing.active_children() == []
     with _cores(1):
-        alone = [A.double_rlpn_exponent(r, restarts=12, seed=0) for r in (0.02, 0.98)]
-        alone += [A.double_rlpn_exponent(0.2, restarts=20, seed=0), A.double_rlpn_exponent(0.42, restarts=64, seed=5),
-                  *A.exponent_curve(["double-rlpn"], [0.40, 0.42, 0.44])]
+        with _restarts(12):
+            alone = [A.double_rlpn_exponent(r, seed=0) for r in (0.02, 0.98)]
+        with _restarts(20):
+            alone.append(A.double_rlpn_exponent(0.2, seed=0))
+        alone.append(A.double_rlpn_exponent(0.42, seed=5))
     assert split == alone
     assert [repr(p) for p in split] == [repr(p) for p in alone]
+
+
+def test_curve_point_is_independent_of_grid(drlpn_042):
+    # a curve's double-RLPN point is the direct call at its rate, whatever
+    # rate comes before it
+    pts = A.exponent_curve(["double-rlpn"], [0.44, 0.42], seed=5)
+    assert [p.R for p in pts] == [0.44, 0.42]
+    assert pts[1] == drlpn_042
+    assert repr(pts[1]) == repr(drlpn_042)
 
 
 @pytest.mark.parametrize("where", ["both", "worker"])
@@ -356,7 +387,7 @@ def test_split_leaves_no_process_when_objective_raises(monkeypatch, where):
     monkeypatch.setattr(A, "_cores", lambda: 2)
     monkeypatch.setattr(A, "_drlpn_rows", failing)
     with pytest.raises(FloatingPointError, match="objective failed"):
-        A.double_rlpn_exponent(0.42, restarts=64, seed=5)
+        A.double_rlpn_exponent(0.42, seed=5)
     assert multiprocessing.active_children() == []
 
 

@@ -211,6 +211,9 @@ def test_exponent_csv(tmp_path):
     for r in rows:
         assert r[4] == "true"
         assert r[5:] == [""] * 5
+    # the meta.json names the double-RLPN start budget
+    meta = json.loads((tmp_path / "fig1.meta.json").read_text())
+    assert meta["config"]["restarts"] == 64
 
 
 def test_exponent_csv_numbers_are_plain(tmp_path):

@@ -65,7 +65,10 @@ def test_gf2_solve_inconsistent():
 def _fhat_brute(y, ss, x):
     """Direct signed sum over pairs at a secret guess x in F2^s."""
     acc = 0
-    h = ss.h_full()
+    # the dual words back in original column order
+    h = np.zeros((ss.count, ss.n), np.uint8)
+    h[:, ss.part.ppos] = ss.hp
+    h[:, ss.part.npos] = ss.hn
     for i in range(ss.count):
         e1 = int(np.dot(y.astype(int), h[i].astype(int))) & 1
         e2 = int(np.dot(x.astype(int), ss.caux[i].astype(int))) & 1
@@ -178,6 +181,13 @@ def test_candidate_set_ordering():
     assert cs.members[0] == (1, 7)
     assert [m for m, _ in cs.members] == [1, 2, 3, 0]
     assert cs.indices() == [1, 2, 3, 0]
+    # ties go by the message bits, coordinate 0 first, which is not the
+    # order of the indices: (0, 0, 1) < (0, 1, 0) < (0, 1, 1) < (1, 0, 0)
+    members = [(1, 5), (3, 5), (6, 5), (2, 5), (4, 5), (5, 9), (0, -2), (7, -2)]
+    cs = F.CandidateSet(3, 0, members)
+    assert cs.indices() == [5, 4, 2, 6, 1, 3, 0, 7]
+    assert cs.members == sorted(members, key=lambda ms: (-ms[1], [(ms[0] >> j) & 1 for j in range(3)]))
+    assert len(F.CandidateSet(3, 0, [])) == 0
 
 
 def test_table_validation():

@@ -34,7 +34,7 @@ def test_aux_decode_equals_exhaustive_scan(seed):
     rng = np.random.default_rng(seed + 50)
     for _ in range(15):
         z = rng.integers(0, 2, size=10, dtype=np.uint8)
-        got = {tuple(r) for r in S.aux_decode(aux, z)}
+        got = {tuple(r) for r in S._decode_rows(aux, z[None, :])[1]}
         ref = {tuple(c) for c in words if int(((z + c) % 2).sum()) == 2}
         assert got == ref
 
@@ -175,10 +175,15 @@ def test_enumerate_budget(monkeypatch):
     spart = _good_partition(small, 6, 3)
     hn, _ = _mitm(small, spart, 3)
     assert hn.shape[0] > 2
-    with pytest.raises(BudgetExceeded):
-        S.enumerate_dual_low_weight(small, spart, 3, max_hits=hn.shape[0] - 1)
+    # both enumeration paths admit exactly MAX_DUAL_WORDS words
+    for half_cap in (K.MITM_HALF_CAP, 0):
+        monkeypatch.setattr(K, "MITM_HALF_CAP", half_cap)
+        monkeypatch.setattr(S, "MAX_DUAL_WORDS", hn.shape[0] - 1)
+        with pytest.raises(BudgetExceeded):
+            S.enumerate_dual_low_weight(small, spart, 3)
+        monkeypatch.setattr(S, "MAX_DUAL_WORDS", hn.shape[0])
+        assert S.enumerate_dual_low_weight(small, spart, 3)[0].shape[0] == hn.shape[0]
     # the Gray side refuses codes with more than 2^34 dual words
-    monkeypatch.setattr(K, "MITM_HALF_CAP", 0)
     code = C.random_code(60, 20, 1)
     part = C.Partition(60, np.arange(10))
     with pytest.raises(BudgetExceeded):
@@ -194,14 +199,18 @@ def test_pair_invariants_and_membership():
     assert np.all(ss.hn.sum(axis=1) == 3)
     assert np.all(((ss.hp + ss.caux) % 2).sum(axis=1) == 1)
     dual = code.dual()
-    for h in ss.h_full():
-        assert dual.contains(h)
+    # the dual words back in original column order
+    h = np.zeros((ss.count, code.n), np.uint8)
+    h[:, part.ppos] = ss.hp
+    h[:, part.npos] = ss.hn
+    for row in h:
+        assert dual.contains(row)
     for c in ss.caux:
         assert aux.code.contains(c)
 
 
 def test_pair_count_respects_aux_decode():
-    # the pair multiset is exactly {(h, c) : c in aux_decode(h_P)}
+    # the pair multiset is exactly {(h, c) : c decodes h_P alone}
     code = C.random_code(12, 6, 9)
     part = _good_partition(code, 5, 1)
     aux = S.AuxCode.random(5, 2, 1, 3)
@@ -209,7 +218,7 @@ def test_pair_count_respects_aux_decode():
     hn, hp = S.enumerate_dual_low_weight(code, part, 2)
     want = 0
     for i in range(hn.shape[0]):
-        want += S.aux_decode(aux, hp[i]).shape[0]
+        want += S._decode_rows(aux, hp[i][None, :])[1].shape[0]
     assert ss.count == want
 
 
@@ -223,8 +232,8 @@ def test_pair_paths_agree_on_wide_aux_syndromes():
     hn = rng.integers(0, 2, size=(40, 9), dtype=np.uint8)
     rows, caux = S._decode_rows(aux, hp)
     got = hn[rows], hp[rows], caux
-    # reference: one aux_decode per row, pairs in row order
-    rows = [(hn[i], hp[i], c) for i in range(40) for c in S.aux_decode(aux, hp[i])]
+    # reference: each row decoded alone, pairs in row order
+    rows = [(hn[i], hp[i], c) for i in range(40) for c in S._decode_rows(aux, hp[i][None, :])[1]]
     want = [np.array(col, np.uint8) for col in zip(*rows)]
     assert got[0].shape[0] == want[0].shape[0] == 40
     for a, b in zip(got, want):
