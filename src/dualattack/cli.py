@@ -2,24 +2,28 @@
 
 Subcommands cover the table generators (krawtchouk, exponent,
 lattice-score), the decoder (decode), the survival-curve experiment
-(survival) and the exact duality self-check (duality-check).  Configs
-are flat INI files with one section per concern; every CSV written to
-disk gets a sibling <stem>.meta.json recording the git revision, the
-seed, wall time and an echo of the resolved configuration.  Data files
-are byte-identical across reruns with the same config and seed; wall
-time lives only in the metadata.
+(survival) and the exact duality self-check (duality-check).
+
+Configs are flat INI files that read_config checks line by line
+against one schema per subcommand; integer flags share its converters,
+and the directory of any --out is checked before the subcommand starts.
+
+Every CSV written to disk gets a sibling <stem>.meta.json recording the
+git revision, the seed, wall time and an echo of the resolved
+configuration.  Data files are byte-identical across reruns with the
+same config and seed; wall time lives only in the metadata.
 
 Exit codes: 0 on success, 2 on any configuration problem (message names
-the file, line and field where possible), 1 when a size or enumeration
-budget is exceeded or a check fails.
+the file and line, or the flag), 1 when a size or enumeration budget is
+exceeded or a check fails.
 """
 
 import argparse
-import configparser
 import csv
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -46,101 +50,29 @@ MAX_RATES = 10 ** 4
 
 
 # ---------------------------------------------------------------------------
-# config files
-
-class Config:
-    """Parsed INI config: section -> {key: (raw value, line number)}."""
-
-    def __init__(self, path, sections, section_lines):
-        self.path = str(path)
-        self.sections = sections
-        self.section_lines = section_lines
-
-    def where(self, section):
-        line = self.section_lines.get(section)
-        return f"{self.path}:{line}" if line else self.path
-
-
-def read_config(path):
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"{path}: no such config file")
-    text = p.read_text(encoding="utf-8")
-    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
-                                   comment_prefixes=("#", ";"))
-    cp.optionxform = str
-    try:
-        cp.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-    # index the raw text so schema errors can point at the source line
-    key_lines = {}
-    section_lines = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip()
-            section_lines.setdefault(section, lineno)
-        elif stripped and not stripped.startswith(("#", ";")) and "=" in raw:
-            key = raw.split("=", 1)[0].strip()
-            if section is not None:
-                key_lines.setdefault((section, key), lineno)
-    sections = {}
-    for name in cp.sections():
-        sections[name] = {}
-        for key, value in cp[name].items():
-            line = key_lines.get((name, key), section_lines.get(name, 0))
-            sections[name][key] = (value.strip(), line)
-    return Config(p, sections, section_lines)
-
-
-def check_sections(cfg, allowed):
-    for name in cfg.sections:
-        if name not in allowed:
-            raise ConfigError(f"{cfg.where(name)}: unknown section [{name}]")
-
-
-def section_values(cfg, name, fields, required=()):
-    """Validate one section against {key: converter}.  Unknown keys and
-    missing required keys exit with the offending location."""
-    present = cfg.sections.get(name, {})
-    for key, (_, line) in present.items():
-        if key not in fields:
-            raise ConfigError(
-                f"{cfg.path}:{line}: unknown field '{key}' in [{name}]")
-    for key in required:
-        if key not in present:
-            raise ConfigError(
-                f"{cfg.path}: missing required field '{key}' in [{name}]")
-    out = {}
-    for key, (raw, line) in present.items():
-        try:
-            out[key] = fields[key](raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{cfg.path}:{line}: field '{key}': {exc}") from None
-    return out
-
+# inputs: one set of converters for config fields and integer flags
 
 def _int(raw):
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"expected an integer, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {raw!r}") from None
 
 
 def _pos_int(raw):
     v = _int(raw)
     if v < 1:
-        raise ValueError(f"expected a positive integer, got {v}")
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {v}")
     return v
 
 
 def _nonneg_int(raw):
     v = _int(raw)
     if v < 0:
-        raise ValueError(f"expected a nonnegative integer, got {v}")
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {v}")
     return v
 
 
@@ -148,13 +80,73 @@ def _float(raw):
     try:
         return float(raw)
     except ValueError:
-        raise ValueError(f"expected a number, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {raw!r}") from None
 
 
 def _num_x(raw):
     if raw == "all":
         return "all"
     return _pos_int(raw)
+
+
+def read_config(path, schema):
+    """Read a flat INI file once, checking it against schema,
+    {section: ({key: converter}, required keys)}.
+
+    A line is `[section]`, `key = value` split at the first `=`, a
+    whole-line `#` or `;` comment, or blank; leading whitespace is
+    ignored.  There is no [DEFAULT] section, continuation line or inline
+    comment, and a repeated section or field is refused.  Returns
+    ({section: {key: value}}, {section: "path:line"}) for the sections
+    present; every problem raises ConfigError naming the file and line.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(
+            f"{path}: cannot read config: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text") from None
+    values, where = {}, {}
+    section = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        at = f"{path}:{lineno}"
+        if not line or line[0] in "#;":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            section = line[1:-1].strip()
+            if section not in schema:
+                raise ConfigError(f"{at}: unknown section [{section}]")
+            if section in values:
+                raise ConfigError(f"{at}: repeated section [{section}]")
+            values[section], where[section] = {}, at
+            continue
+        key, eq, raw_value = line.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise ConfigError(f"{at}: expected [section] or key = value")
+        if section is None:
+            raise ConfigError(f"{at}: field '{key}' before any [section]")
+        fields = schema[section][0]
+        if key not in fields:
+            raise ConfigError(f"{at}: unknown field '{key}' in [{section}]")
+        if key in values[section]:
+            raise ConfigError(f"{at}: repeated field '{key}' in [{section}]")
+        try:
+            values[section][key] = fields[key](raw_value.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{at}: field '{key}': {exc}") from None
+    for name, (_, required) in schema.items():
+        for key in required:
+            if key not in values.get(name, {}):
+                raise ConfigError(
+                    f"{path}: missing required field '{key}' in [{name}]")
+    return values, where
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +204,8 @@ def write_metadata(csv_path, subcommand, seed, config_echo, t0, extra=None):
 
 def _cmd_krawtchouk(args):
     n, w = args.n, args.w
-    if n < 1:
-        raise ConfigError("--n must be a positive integer")
-    if not 0 <= w <= n:
-        raise ConfigError("--w must lie in [0, n]")
+    if w > n:
+        raise ConfigError("--w must not exceed --n")
     t0 = time.monotonic()
     rows = [(t, krawtchouk_exact(n, w, t)) for t in range(n + 1)]
     header = ["t", "value"]
@@ -231,24 +221,23 @@ def _cmd_krawtchouk(args):
 
 
 def _cmd_decode(args):
-    cfg = read_config(args.config)
-    check_sections(cfg, {"instance", "params"})
-    inst_fields = {"n": _pos_int, "k": _pos_int, "t": _nonneg_int,
-                   "seed": _nonneg_int}
-    ic = section_values(cfg, "instance", inst_fields, ("n", "k", "t"))
-    par_fields = {"s": _pos_int, "u": _nonneg_int, "w": _pos_int,
-                  "k_aux": _pos_int, "t_aux": _nonneg_int,
-                  "N_aux": _pos_int, "N_iter": _pos_int,
-                  "sample_budget": _pos_int, "seed": _nonneg_int}
-    pc = section_values(cfg, "params", par_fields,
-                        ("s", "u", "w", "k_aux", "t_aux"))
+    cfg, where = read_config(args.config, {
+        "instance": ({"n": _pos_int, "k": _pos_int, "t": _nonneg_int,
+                      "seed": _nonneg_int}, ("n", "k", "t")),
+        "params": ({"s": _pos_int, "u": _nonneg_int, "w": _pos_int,
+                    "k_aux": _pos_int, "t_aux": _nonneg_int,
+                    "N_aux": _pos_int, "N_iter": _pos_int,
+                    "sample_budget": _pos_int, "seed": _nonneg_int},
+                   ("s", "u", "w", "k_aux", "t_aux")),
+    })
+    ic, pc = cfg["instance"], cfg["params"]
     seed = ic.get("seed", 0)
     pc.setdefault("seed", seed)
     try:
         params = DoubleRlpnParams(**pc)
         params.validate(ic["n"], ic["k"], ic["t"])
     except DomainError as exc:
-        raise ConfigError(f"{cfg.where('params')}: {exc}") from exc
+        raise ConfigError(f"{where['params']}: {exc}") from exc
     code = random_code(ic["n"], ic["k"], seed=[seed, 101])
     instance = DecodingInstance.plant(code, ic["t"], seed=[seed, 102])
     stats = {}
@@ -270,26 +259,22 @@ def _cmd_decode(args):
 
 
 def _cmd_survival(args):
-    cfg = read_config(args.config)
-    check_sections(cfg, {"model", "experiment", "grid"})
-    model_fields = {key: _nonneg_int for key in
-                    ("n", "k", "t", "s", "u", "w", "k_aux", "t_aux")}
-    mc = section_values(cfg, "model", model_fields,
-                        ("n", "k", "t", "s", "u", "w", "k_aux", "t_aux"))
-    exp_fields = {"seed": _nonneg_int, "trials": _pos_int,
-                  "num_x": _num_x, "sample_budget": _pos_int}
-    ec = section_values(cfg, "experiment", exp_fields)
+    model_keys = ("n", "k", "t", "s", "u", "w", "k_aux", "t_aux")
+    cfg, where = read_config(args.config, {
+        "model": (dict.fromkeys(model_keys, _nonneg_int), model_keys),
+        "experiment": ({"seed": _nonneg_int, "trials": _pos_int,
+                        "num_x": _num_x, "sample_budget": _pos_int}, ()),
+        "grid": ({"min": _float, "max": _float, "points": _pos_int}, ()),
+    })
+    mc, ec = cfg["model"], cfg.get("experiment", {})
     seed = ec.get("seed", 0)
     trials = ec.get("trials", 10 ** 5)
     grid = None
-    if "grid" in cfg.sections:
-        gc = section_values(cfg, "grid",
-                            {"min": _float, "max": _float,
-                             "points": _pos_int},
-                            ("min", "max", "points"))
-        if gc["points"] < 2 or gc["max"] < gc["min"]:
-            raise ConfigError(
-                f"{cfg.where('grid')}: need points >= 2 and max >= min")
+    if "grid" in cfg:
+        gc = cfg["grid"]
+        if len(gc) < 3 or gc["points"] < 2 or gc["max"] < gc["min"]:
+            raise ConfigError(f"{where['grid']}: [grid] needs min, max and "
+                              "points, with points >= 2 and max >= min")
         grid = np.linspace(gc["min"], gc["max"], gc["points"]).tolist()
     try:
         nparams = ModelParams(mc["n"], mc["k"], mc["t"], mc["s"], mc["u"],
@@ -299,7 +284,7 @@ def _cmd_survival(args):
                                    sample_budget=ec.get("sample_budget"))
         dparams.validate(mc["n"], mc["k"], mc["t"])
     except DomainError as exc:
-        raise ConfigError(f"{cfg.where('model')}: {exc}") from exc
+        raise ConfigError(f"{where['model']}: {exc}") from exc
     t0 = time.monotonic()
     code = random_code(mc["n"], mc["k"], seed=[seed, 101])
     instance = DecodingInstance.plant(code, mc["t"], seed=[seed, 102])
@@ -370,17 +355,17 @@ def _cmd_lattice_score(args):
     if args.preset == "custom":
         if not args.config:
             raise ConfigError("--preset custom needs --config")
-        cfg = read_config(args.config)
-        check_sections(cfg, {"lattice"})
-        fields = {"n": _pos_int, "q": _pos_int, "log_volume": _float,
-                  "N": _pos_int, "w": _float, "T": _float}
-        lc = section_values(cfg, "lattice", fields,
-                            ("n", "q", "log_volume", "N", "w"))
+        cfg, where = read_config(args.config, {
+            "lattice": ({"n": _pos_int, "q": _pos_int, "log_volume": _float,
+                         "N": _pos_int, "w": _float, "T": _float},
+                        ("n", "q", "log_volume", "N", "w")),
+        })
+        lc = cfg["lattice"]
         try:
             params = LatticeScoreParams(lc["n"], lc["q"], lc["log_volume"],
                                         lc["N"], lc["w"], lc.get("T", 0.0))
         except DomainError as exc:
-            raise ConfigError(f"{cfg.where('lattice')}: {exc}") from exc
+            raise ConfigError(f"{where['lattice']}: {exc}") from exc
         echo = dict(lc)
     else:
         if args.config:
@@ -413,10 +398,8 @@ def _cmd_lattice_score(args):
 
 def _cmd_duality_check(args):
     n, k, s, kaux = args.n, args.k, args.s, args.kaux
-    if not (1 <= k < n and 1 <= s < n and 1 <= kaux <= s):
-        raise ConfigError("need 1 <= k < n, 1 <= s < n, 1 <= kaux <= s")
-    if args.trials < 1:
-        raise ConfigError("--trials must be positive")
+    if not (k < n and s < n and kaux <= s):
+        raise ConfigError("need --k < --n, --s < --n and --kaux <= --s")
     done = exact = attempt = 0
     while done < args.trials:
         if attempt >= 50 * args.trials:
@@ -458,8 +441,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="cmd", parser_class=_Parser)
 
     p = sub.add_parser("krawtchouk", help="emit one polynomial's value table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--n", type=_pos_int, required=True)
+    p.add_argument("--w", type=_nonneg_int, required=True)
     p.add_argument("--out", default=None,
                    help="CSV path; stdout when omitted")
 
@@ -474,32 +457,32 @@ def build_parser():
 
     p = sub.add_parser("exponent", help="asymptotic complexity exponents")
     p.add_argument("--algs", default=",".join(ALGORITHMS))
-    p.add_argument("--rmin", type=float, required=True)
-    p.add_argument("--rmax", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--rmin", type=_float, required=True)
+    p.add_argument("--rmax", type=_float, required=True)
+    p.add_argument("--step", type=_float, required=True)
     p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--naux", type=int, default=1)
+    p.add_argument("--naux", type=_pos_int, default=1)
     p.add_argument("--out", default="fig1.csv")
 
     p = sub.add_parser("lattice-score",
                        help="score survival models for a lattice preset")
     p.add_argument("--preset", required=True, choices=PRESETS + ("custom",))
     p.add_argument("--config", default=None)
-    p.add_argument("--tmin", type=float, default=0.0)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=51)
-    p.add_argument("--trials", type=int, default=200000)
-    p.add_argument("--terms", type=int, default=1)
+    p.add_argument("--tmin", type=_float, default=0.0)
+    p.add_argument("--tmax", type=_float, default=None)
+    p.add_argument("--points", type=_int, default=51)
+    p.add_argument("--trials", type=_pos_int, default=200000)
+    p.add_argument("--terms", type=_pos_int, default=1)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", default="curve.csv")
 
     p = sub.add_parser("duality-check",
                        help="exact identity check on random instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--kaux", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--n", type=_pos_int, required=True)
+    p.add_argument("--k", type=_pos_int, required=True)
+    p.add_argument("--s", type=_pos_int, required=True)
+    p.add_argument("--kaux", type=_pos_int, required=True)
+    p.add_argument("--trials", type=_pos_int, default=100)
     p.add_argument("--seed", type=_nonneg_int, default=0)
 
     return parser
@@ -515,11 +498,25 @@ _DISPATCH = {
 }
 
 
+def _check_out(out):
+    """Refuse an --out the subcommand could not write, before any work."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"--out {out!r} is not a file name")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {out}: no directory {path.parent}")
+    if not os.access(path.parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {out}: cannot write in {path.parent}")
+
+
 def run(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.cmd is None:
             raise ConfigError("a subcommand is required")
+        _check_out(getattr(args, "out", None))
         return _DISPATCH[args.cmd](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,39 +48,15 @@ class ModelParams:
         DoubleRlpnParams(s=self.s, u=self.u, w=self.w, k_aux=self.k_aux,
                          t_aux=self.t_aux).validate(self.n, self.k, self.t)
 
-    def bias(self):
-        """Exact signed bias of the candidate-score statistic."""
-        from .decoder import delta
-
-        p = DoubleRlpnParams(s=self.s, u=self.u, w=self.w, k_aux=self.k_aux,
-                             t_aux=self.t_aux)
-        return delta(p, self.n, self.k, self.t).delta
-
     def expected_pairs(self):
         return expected_pair_count(self.n, self.k, self.s, self.w,
                                    self.t_aux, self.k_aux)
 
 
-class JointWeightCounts:
-    """Matrix N_{i,j}: i is the weight on the large side after the
-    linear shift, j the weight of the coset word on the small side."""
-
-    def __init__(self, counts):
-        self.counts = np.asarray(counts, dtype=np.int64)
-        if self.counts.ndim != 2 or (self.counts < 0).any():
-            raise DomainError("counts must be a non-negative matrix")
-
-    def n_side_marginal(self):
-        """N_i: counts summed over the small-side weight."""
-        return self.counts.sum(axis=1)
-
-    def p_side_marginal(self):
-        """N_j: counts summed over the large-side weight."""
-        return self.counts.sum(axis=0)
-
-
 def joint_weight_counts(code, aux, part, e, x):
-    """Exhaustive N_{i,j} over (x + dual aux code) x (large-side code)."""
+    """Exhaustive N_{i,j} over (x + dual aux code) x (large-side code),
+    as an int64 matrix: i is the weight on the large side after the
+    linear shift, j the weight of the coset word on the small side."""
     n, k, s = code.n, code.k, part.s
     if s - aux.k_aux > 12 or k - s > 14:
         raise BudgetExceeded("joint weight enumeration limited to "
@@ -100,7 +76,7 @@ def joint_weight_counts(code, aux, part, e, x):
     for row, j in zip(pack_rows(shifted), jw):
         iw = popcount_rows(cn_words ^ row)
         counts[:, j] += np.bincount(iw, minlength=n - s + 1)
-    return JointWeightCounts(counts)
+    return counts
 
 
 def duality_check(code, aux, part, e, y, x, w):
@@ -125,12 +101,12 @@ def duality_check(code, aux, part, e, y, x, w):
            ^ gf2_matmul(ss.hp, yp.reshape(-1, 1))
            ^ gf2_matmul(ss.caux, x.reshape(-1, 1)))[:, 0]
     lhs = Fraction(int(ss.count) - 2 * int(par.sum()), ss.count)
-    jwc = joint_weight_counts(code, aux, part, e, x)
+    counts = joint_weight_counts(code, aux, part, e, x)
     kw = KrawtchoukTable(n - s, w)
     kt = KrawtchoukTable(s, ss.t_aux)
     ksum = 0
     for i in range(n - s + 1):
-        row = jwc.counts[i]
+        row = counts[i]
         if not row.any():
             continue
         kwi = kw.value(i)

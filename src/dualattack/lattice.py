@@ -166,24 +166,6 @@ def _floor_scores(params, log_j):
     return sign * np.exp(np.minimum(lead + lj, 700.0))
 
 
-def gamma_survival(k, theta, alpha):
-    """Survival P[Z >= alpha] of the (k+1)-th arrival of a rate-theta
-    point process in volume scale, which is the chance a Poisson(theta
-    alpha) count stays at or below k."""
-    from scipy.special import gammaincc
-
-    if k < 0 or int(k) != k:
-        raise DomainError("k must be a nonnegative integer")
-    if not theta > 0:
-        raise DomainError("theta must be positive")
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
-    ta = theta * alpha
-    if math.isinf(ta):
-        return 0.0
-    return float(gammaincc(int(k) + 1, ta))
-
-
 @dataclass(frozen=True)
 class SurvivalCurve:
     thresholds: np.ndarray

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,35 @@ def test_decode_score_table_budget_exit_1(tmp_path, capsys):
                    "[params]\ns = 42\nu = 0\nw = 1\nk_aux = 40\nt_aux = 1\n")
     assert cli.run(["decode", "--config", str(cfg)]) == 1
     assert "score table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, fragment", [
+    (b"[DEFAULT]\nseed = 3\n" + DECODE_INI.encode(), 1, "[DEFAULT]"),
+    (DECODE_INI.encode() + b"\n[instance]\n", 14, "repeated section"),
+    (DECODE_INI.replace("t = 3\n", "t = 3\nt = 4\n").encode(), 5,
+     "repeated field 't'"),
+    (DECODE_INI.replace("seed = 5", "seed 5").encode(), 5, "key = value"),
+    (DECODE_INI.replace("k = 12", "k = 1\xe9").encode("latin-1"), 3,
+     "UTF-8"),
+], ids=["default", "repeated-section", "repeated-field", "no-equals",
+        "not-utf8"])
+def test_malformed_config_names_line(text, line, fragment, tmp_path, capsys):
+    cfg = tmp_path / "dec.ini"
+    cfg.write_bytes(text)
+    assert cli.run(["decode", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:{line}: ") and fragment in err
+    assert err.count("\n") == 1
+
+
+def test_config_leading_whitespace_ignored(tmp_path):
+    # an indented line is a field of its own, never a continuation
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("  [instance]\n  ; note\nn = 24\nk = 20\n    t = 5\n")
+    schema = {"instance": (dict.fromkeys("nkt", cli._pos_int), ("t",))}
+    values, where = cli.read_config(cfg, schema)
+    assert values == {"instance": {"n": 24, "k": 20, "t": 5}}
+    assert where == {"instance": f"{cfg}:1"}
 
 
 SURV_INI = """\
@@ -318,6 +348,36 @@ def test_negative_seed_exit_2(argv, tmp_path, capsys):
         argv = [*argv, "--out", str(tmp_path / "x.csv")]
     assert cli.run([*argv, "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["exponent", "--algs", "prange", "--rmin", "0.2", "--rmax", "0.4",
+      "--step", "0.1", "--naux", "0"], "--naux"),
+    (["krawtchouk", "--n", "0", "--w", "0"], "--n"),
+    (["duality-check", "--n", "12", "--k", "6", "--s", "5", "--kaux", "0"],
+     "--kaux"),
+    (["duality-check", "--n", "12", "--k", "6", "--s", "5", "--kaux", "2",
+      "--trials", "0"], "--trials"),
+    (["lattice-score", "--preset", "fig3-left", "--terms", "0"], "--terms"),
+])
+def test_flag_converters_exit_2(argv, flag, tmp_path, capsys):
+    if argv[0] in ("exponent", "lattice-score"):
+        argv = [*argv, "--out", str(tmp_path / "x.csv")]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: argument {flag}: expected a positive integer, "
+                   "got 0\n")
+
+
+def test_out_directory_checked_before_work(tmp_path, capsys):
+    out = tmp_path / "missing" / "fig1.csv"
+    t0 = time.monotonic()
+    assert cli.run(["exponent", "--algs", "double-rlpn", "--rmin", "0.42",
+                    "--rmax", "0.42", "--step", "0.01",
+                    "--out", str(out)]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert "--out" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_duality_check_summary(capsys):

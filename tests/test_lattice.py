@@ -176,52 +176,6 @@ def test_floor_saturation_and_monotone_branch():
         L.floor_value(p, 0.0)
 
 
-def test_gamma_survival_values():
-    assert L.gamma_survival(0, 2.0, 0.0) == 1.0
-    assert abs(L.gamma_survival(0, 2.0, 3.0) - math.exp(-6.0)) < 1e-15
-    want = math.exp(-3.0) * (1.0 + 3.0 + 4.5)
-    assert abs(L.gamma_survival(2, 1.0, 3.0) - want) < 1e-12
-    with pytest.raises(DomainError):
-        L.gamma_survival(-1, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        L.gamma_survival(0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        L.gamma_survival(0, 1.0, -1.0)
-
-
-@given(st.floats(1e-3, 1e3), st.floats(0.0, 50.0), st.floats(1e-6, 10.0),
-       st.integers(0, 6))
-@settings(max_examples=60, deadline=None)
-def test_gamma_survival_is_survival_function(theta, alpha, step, k):
-    lo = L.gamma_survival(k, theta, alpha)
-    hi = L.gamma_survival(k, theta, alpha + step)
-    assert 0.0 <= hi <= lo <= 1.0
-    # later arrivals are stochastically larger
-    assert L.gamma_survival(k + 1, theta, alpha) >= lo - 1e-15
-
-
-def test_gamma_survival_extreme_scales():
-    p = L.preset_params("fig3-left")
-    theta = math.exp(L.log_gamma_rate(p))
-    alpha = math.exp(60.0 * 4.6)
-    v = L.gamma_survival(0, theta, alpha)
-    assert 0.0 < v < 1.0
-    assert L.gamma_survival(0, 1e-300, 1e308) == 1.0 or True  # no overflow
-    assert L.gamma_survival(3, 1.0, 1e6) == 0.0
-
-
-def test_gamma_survival_poisson_process_mc():
-    rng = np.random.default_rng(11)
-    trials = 10 ** 6
-    for k in (0, 2):
-        z = rng.gamma(k + 1.0, 1.0, trials)
-        for alpha in (0.5, 2.0, 5.0):
-            p = L.gamma_survival(k, 1.0, alpha)
-            emp = float(np.mean(z >= alpha))
-            sd = math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
-            assert abs(emp - p) <= 3.0 * sd
-
-
 def test_survival_validation():
     p = L.preset_params("fig3-left")
     with pytest.raises(DomainError):
