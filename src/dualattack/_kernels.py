@@ -210,6 +210,9 @@ class KeyTable:
 MITM_HALF_CAP = 5 * 10**7
 # searches whose tables total at most this many rows keep them cached
 _CACHE_ROWS = 1 << 16
+# targets x left-table rows one lookup of comb_xor_search_many holds at
+# once, which bounds its memory for any number of targets
+CHUNK_CELLS = 1 << 18
 
 
 def _subsets(lo, hi, t):
@@ -245,13 +248,6 @@ def comb_search_fits(n, t):
     return _weight_splits(n, t)[1] <= MITM_HALF_CAP
 
 
-def comb_left_rows(n, t):
-    """Left-table rows one target of comb_xor_search_many looks up on n
-    columns at weight t, summed over the weight splits (at least 1): the
-    part of its work and memory that grows with the target count."""
-    return max(1, sum(comb(n // 2, ta) for ta in _weight_splits(n, t)[0]))
-
-
 def comb_xor_search(cols, target, t, max_hits=1 << 22):
     """Index tuples of all t-subsets of the packed cols xoring to target,
     in lexicographic order: comb_xor_search_many for the one target."""
@@ -268,11 +264,13 @@ def comb_xor_search_many(cols, targets, t, max_hits=1 << 22):
     is a (T, W) stack of packed words, or (T,) single words (missing high
     words are zero).  Meets in the middle: the columns split at n // 2,
     and for each weight split the xors of the right part's subsets are
-    sorted once and the left part's xors with every target looked up in
-    them.  Words wider than 64 bits are matched by their rank among the
-    distinct xors of both parts.  Raises BudgetExceeded when the tables
-    exceed MITM_HALF_CAP entries, or when more than max_hits tuples solve
-    one target; the error's owner is then the row of such a target."""
+    sorted once and the left part's xors with the targets looked up in
+    them, in chunks of at most CHUNK_CELLS target x left-row cells.  Words
+    wider than 64 bits are matched by their rank among the distinct xors
+    of both parts.  Raises BudgetExceeded when the tables exceed
+    MITM_HALF_CAP entries, or when more than max_hits tuples solve one
+    target; the error's owner is then the row of the first such target,
+    whatever the chunks."""
     cols = np.asarray(cols, dtype=np.uint64)
     if cols.ndim == 1:
         cols = cols[:, None]
@@ -299,24 +297,28 @@ def comb_xor_search_many(cols, targets, t, max_hits=1 << 22):
         left = subsets(0, half, ta)
         right = subsets(half, n, t - ta)
         nl = left.shape[0]
-        # row j * nl + i is left subset i against target j
-        lx = (np.bitwise_xor.reduce(cols[left], axis=1) ^ tgt).reshape(-1, nw)
-        rx = np.bitwise_xor.reduce(cols[right], axis=1)
-        table = KeyTable(rx)
-        lo, cnt = table.counts(lx)
-        if not cnt.any():
-            continue
-        hits += cnt.reshape(ntg, nl).sum(axis=1)
-        over = np.flatnonzero(hits > max_hits)
-        if over.size:
-            err = BudgetExceeded("solution count exceeds max_hits=%d"
-                                 % max_hits)
-            err.owner = int(over[0])
-            raise err
-        li, ri = table.pairs(lo, cnt)
-        owner, li = np.divmod(li, nl)
-        owners.append(owner)
-        found.append(np.concatenate([left[li], right[ri]], axis=1))
+        lx = np.bitwise_xor.reduce(cols[left], axis=1)
+        table = KeyTable(np.bitwise_xor.reduce(cols[right], axis=1))
+        step = max(1, CHUNK_CELLS // nl)
+        for a in range(0, ntg, step):
+            # row j * nl + i is left subset i against target a + j; a
+            # target over max_hits here is the first one over, since the
+            # chunks before have none and the splits add in order
+            lo, cnt = table.counts((lx ^ tgt[a:a + step]).reshape(-1, nw))
+            if not cnt.any():
+                continue
+            chunk = hits[a:a + step]
+            chunk += cnt.reshape(-1, nl).sum(axis=1)
+            over = np.flatnonzero(chunk > max_hits)
+            if over.size:
+                err = BudgetExceeded("solution count exceeds max_hits=%d"
+                                     % max_hits)
+                err.owner = a + int(over[0])
+                raise err
+            li, ri = table.pairs(lo, cnt)
+            owner, li = np.divmod(li, nl)
+            owners.append(owner + a)
+            found.append(np.concatenate([left[li], right[ri]], axis=1))
     if not found:
         return np.empty(0, np.int64), np.empty((0, t), np.int64)
     owner = np.concatenate(owners)

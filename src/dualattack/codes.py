@@ -83,19 +83,6 @@ def gf2_nullspace(a):
     return basis
 
 
-def gf2_inv(a):
-    """Inverse of a square matrix over GF(2)."""
-    a = as_bits(np.atleast_2d(a))
-    m, n = a.shape
-    if m != n:
-        raise DomainError("matrix is not square")
-    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
-    r, pivots = gf2_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise RankDeficient("matrix is singular")
-    return r[:, n:].copy()
-
-
 class LinearCode:
     """An [n, k] binary code given by a full-rank generator matrix."""
 
@@ -125,9 +112,6 @@ class LinearCode:
 
     def encode(self, m):
         return gf2_matmul(as_bits(m).reshape(1, -1), self.generator)[0]
-
-    def dual(self):
-        return LinearCode(self.parity, self.generator)
 
     def __repr__(self):
         return "LinearCode(n=%d, k=%d)" % (self.n, self.k)
@@ -178,7 +162,6 @@ class SystematicForm:
         self.part = part
         self.r = r
         self.rprime = rprime
-        self.column_order = np.concatenate([part.ppos, part.npos])
 
     @functools.cached_property
     def shortened_parity(self):

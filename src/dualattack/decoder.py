@@ -12,8 +12,8 @@ from math import ceil, comb
 
 import numpy as np
 
-from ._kernels import comb_left_rows, comb_xor_search_many, pack_rows
-from .codes import as_bits, draw_partition, gf2_matmul, systematic_form
+from ._kernels import comb_search_fits, comb_xor_search_many, pack_rows
+from .codes import as_bits, draw_partition, gf2_matmul
 from .errors import BudgetExceeded, DomainError
 from .fourier import fft_decode, index_to_bits
 from .krawtchouk import krawtchouk_exact
@@ -112,12 +112,11 @@ def syndrome_decode_all(parity, syndromes, t):
     return owner, out
 
 
-def solve_subproblem(code, part, y, vs, u, sf=None):
+def solve_subproblem(code, part, y, vs, u, sf):
     """Decode y_N - (y_P - v) R at exact distance u in the shortened code
     generated by Rprime, for each row v of vs (or one v); returns
-    (owner, e_ns) as syndrome_decode_all does."""
-    if sf is None:
-        sf = systematic_form(code, part)
+    (owner, e_ns) as syndrome_decode_all does.  sf is the systematic form
+    of code against part."""
     y = as_bits(y).reshape(-1)
     vs = as_bits(np.atleast_2d(vs))
     if vs.shape[1] != part.s:
@@ -130,53 +129,39 @@ def solve_subproblem(code, part, y, vs, u, sf=None):
 
 # largest tuple product recover_e walks
 MAX_TUPLES = 1 << 20
-# targets x left-table rows (comb_left_rows) in one batched decode of
-# recover_e, which bounds its memory
-CHUNK_CELLS = 1 << 18
 
 
-def _first_word(decode, count, cells, finish):
-    """Run decode(a, b), which solves targets a to b - 1 of count as
-    (owner, words), in chunks of at most CHUNK_CELLS // cells targets, and
-    return the first word that finish(a, owner, words) makes of a chunk's
-    solutions, or None.  When target a + j has too many solutions, the
-    targets before it are walked first and the error stands only when
+def _first_word(decode, count, finish):
+    """finish(owner, words) of decode(count), which solves targets 0 to
+    count - 1 as (owner, words): the first word finish makes of the
+    solutions, or None.  When target j has too many solutions, the
+    targets before it are tried alone, and the error stands only when
     none of them gives a word, as a walk one target at a time would."""
-    step = max(1, CHUNK_CELLS // cells)
-
-    def walk(lo, hi):
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            try:
-                owner, words = decode(a, b)
-            except BudgetExceeded as err:
-                if err.owner:
-                    e = walk(a, a + err.owner)
-                    if e is not None:
-                        return e
-                raise
-            e = finish(a, owner, words)
-            if e is not None:
-                return e
+    if not count:
         return None
+    try:
+        owner, words = decode(count)
+    except BudgetExceeded as err:
+        e = _first_word(decode, err.owner or 0, finish)
+        if e is None:
+            raise
+        return e
+    return finish(owner, words)
 
-    return walk(0, count)
 
-
-def recover_e(candidate_sets, g_aux_list, part, y, code, t, u, sf=None):
+def recover_e(candidate_sets, g_aux_list, part, y, code, t, u, sf):
     """Walk candidate tuples best-score first (itertools.product order of
     the score-sorted sets), decode each stacked syndrome to weight t-u on
     the P side, finish each solution v on the N side; return the first
-    verified error word.
+    verified error word.  sf is the systematic form of code against part.
 
-    The tuples go in chunks of CHUNK_CELLS // comb_left_rows(s, t-u).  One
-    batched syndrome_decode_all call decodes a chunk's stacked syndromes,
-    and one batched solve_subproblem call decodes the shortened-code
-    syndromes of all its v at weight u.  The v's are taken in (tuple,
-    support) order, each with its first N-side solution, and the walk
-    stops at the first chunk holding a verified word, so it returns the
-    word a walk one tuple at a time would.  Raises BudgetExceeded when
-    there are more than MAX_TUPLES tuples."""
+    One syndrome_decode_all call decodes the stacked syndromes of all the
+    tuples, and one solve_subproblem call decodes the shortened-code
+    syndromes of all their v at weight u; the kernel bounds the memory of
+    each.  The v's are taken in (tuple, support) order, each with its
+    first N-side solution, so this returns the word a walk one tuple at a
+    time would.  Raises BudgetExceeded when there are more than
+    MAX_TUPLES tuples."""
     n_aux = len(candidate_sets)
     if len(g_aux_list) != n_aux:
         raise DomainError("one generator per candidate set")
@@ -187,41 +172,41 @@ def recover_e(candidate_sets, g_aux_list, part, y, code, t, u, sf=None):
         total *= len(cs)
     if total > MAX_TUPLES:
         raise BudgetExceeded("candidate tuple count %d exceeds budget" % total)
-    if sf is None:
-        sf = systematic_form(code, part)
     stacked = np.concatenate([as_bits(np.atleast_2d(g)) for g in g_aux_list])
-    k_auxes = [np.atleast_2d(g).shape[0] for g in g_aux_list]
     members = [np.array(cs.indices(), np.int64) for cs in candidate_sets]
+    # C-order digits of r are the positions of tuple r of the product
+    digits = np.unravel_index(np.arange(total), [m.size for m in members])
+    synd = np.concatenate([index_to_bits(m[d], np.atleast_2d(g).shape[0])
+                           for m, d, g in zip(members, digits, g_aux_list)],
+                          axis=1)
     y = as_bits(y).reshape(-1)
 
-    def tuple_syndromes(a, b):
-        # C-order digits of r are the positions of tuple r of the product
-        digits = np.unravel_index(np.arange(a, b), [m.size for m in members])
-        return np.concatenate([index_to_bits(m[d], ka) for m, d, ka
-                               in zip(members, digits, k_auxes)], axis=1)
-
-    def finish_p(_, owner, vs):
-        def finish_n(a, owner, e_ns):
+    def finish_p(_, vs):
+        def finish_n(owner, e_ns):
             rows, first = np.unique(owner, return_index=True)
             for j, r in zip(rows.tolist(), first.tolist()):
-                e = part.merge(vs[a + j], e_ns[r])
+                e = part.merge(vs[j], e_ns[r])
                 if int(e.sum()) == t and code.contains(y ^ e):
                     return e
             return None
 
         return _first_word(
-            lambda a, b: solve_subproblem(code, part, y, vs[a:b], u, sf=sf),
-            vs.shape[0], comb_left_rows(code.n - part.s, u), finish_n)
+            lambda b: solve_subproblem(code, part, y, vs[:b], u, sf),
+            vs.shape[0], finish_n)
 
     return _first_word(
-        lambda a, b: syndrome_decode_all(stacked, tuple_syndromes(a, b),
-                                         t - u),
-        total, comb_left_rows(stacked.shape[1], t - u), finish_p)
+        lambda b: syndrome_decode_all(stacked, synd[:b], t - u), total,
+        finish_p)
 
 
 def double_rlpn(instance, params, stats=None):
     """Run up to N_iter partition trials; return a verified weight-t
-    error word or None.  A stats dict, when given, receives trials_used."""
+    error word or None.  A stats dict, when given, receives trials_used.
+
+    A budget that depends on the parameters alone, the subset tables of
+    the two searches of recover_e, raises BudgetExceeded before the first
+    trial; a trial that goes over a budget of its own data (MAX_TUPLES, a
+    target's max_hits) is skipped."""
     code, y, t = instance.code, instance.y, instance.t
     n, k = code.n, code.k
     params.validate(n, k, t)
@@ -236,6 +221,10 @@ def double_rlpn(instance, params, stats=None):
     n_iter = params.N_iter
     if n_iter is None:
         n_iter = default_n_iter(p_succ(n, params.s, t, params.u))
+    if not (comb_search_fits(params.s, t - params.u)
+            and comb_search_fits(n - params.s, params.u)):
+        raise BudgetExceeded("syndrome-decoding subset tables exceed "
+                             "MITM_HALF_CAP")
     for trial in range(n_iter):
         if stats is not None:
             stats["trials_used"] = trial + 1

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import dot_parity, pack_rows, row_ints, wht_inplace
-from .codes import as_bits, gf2_inv, gf2_matmul, gf2_rref
+from .codes import as_bits, gf2_matmul, gf2_rref
 from .errors import BudgetExceeded, DomainError, InconsistentAux
 
 
@@ -20,16 +20,11 @@ class FourierTable:
 
     Index bit j is coordinate j of the message vector."""
 
-    def __init__(self, k_aux, values=None):
+    def __init__(self, k_aux):
         if k_aux > 26:
             raise BudgetExceeded("score table capped at 2^26 entries")
         self.k_aux = k_aux
-        if values is None:
-            values = np.zeros(1 << k_aux, np.int64)
-        values = np.ascontiguousarray(values, dtype=np.int64)
-        if values.shape != (1 << k_aux,):
-            raise DomainError("table length must be 2^k_aux")
-        self.values = values
+        self.values = np.zeros(1 << k_aux, np.int64)
 
 
 class CandidateSet:
@@ -68,15 +63,19 @@ def bits_to_index(bits):
 
 def message_decompose(caux, g_aux):
     """Solve m g_aux = c_aux for every row; raises InconsistentAux when a
-    row is outside the row space."""
+    row is outside the row space.
+
+    One reduction of [g_aux | I] gives both: its pivots lie in g_aux
+    exactly when the rows are independent, and its right block is then
+    the inverse of g_aux on the pivot columns."""
     g_aux = as_bits(np.atleast_2d(g_aux))
     caux = as_bits(np.atleast_2d(caux))
-    k_aux = g_aux.shape[0]
-    _, pivots = gf2_rref(g_aux)
-    if len(pivots) != k_aux:
+    k_aux, s = g_aux.shape
+    r, pivots = gf2_rref(np.concatenate([g_aux, np.eye(k_aux, dtype=np.uint8)],
+                                        axis=1))
+    if any(p >= s for p in pivots):
         raise DomainError("auxiliary generator rows are dependent")
-    inv = gf2_inv(g_aux[:, pivots])
-    msgs = gf2_matmul(caux[:, pivots], inv)
+    msgs = gf2_matmul(caux[:, pivots], r[:, s:])
     if np.any(gf2_matmul(msgs, g_aux) != caux):
         raise InconsistentAux("codeword outside the generator row space")
     return msgs
@@ -86,7 +85,7 @@ def build_f(y, samples, g_aux):
     """Accumulate the signed label counts of every pair into a table
     indexed by the auxiliary message."""
     y = as_bits(y).reshape(-1)
-    if y.size != samples.n:
+    if y.size != samples.part.n:
         raise DomainError("received word length differs from n")
     g_aux = as_bits(np.atleast_2d(g_aux))
     k_aux = g_aux.shape[0]
@@ -99,10 +98,10 @@ def build_f(y, samples, g_aux):
     msgs = message_decompose(samples.caux, g_aux)
     # k_aux < 64, since the table has 2^k_aux entries
     idx = pack_rows(msgs)[:, 0].view(np.int64)
-    size = 1 << k_aux
-    pos = np.bincount(idx[labels == 0], minlength=size)
-    neg = np.bincount(idx[labels == 1], minlength=size)
-    table.values += pos.astype(np.int64) - neg.astype(np.int64)
+    # +1 per agreeing label, -1 per other; float64 sums stay exact
+    # integers below 2^53 pairs
+    table.values += np.bincount(idx, weights=1.0 - 2.0 * labels,
+                                minlength=1 << k_aux).astype(np.int64)
     return table
 
 

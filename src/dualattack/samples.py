@@ -104,7 +104,7 @@ def enumerate_dual_low_weight(code, part, w, sf=None):
 class SampleSet:
     """Pairs (h, c_aux) with |h_N| = w and |h_P + c_aux| = t_aux."""
 
-    def __init__(self, part, w, t_aux, hn, hp, caux, complete, n=None):
+    def __init__(self, part, w, t_aux, hn, hp, caux, complete):
         self.part = part
         self.w = w
         self.t_aux = t_aux
@@ -112,7 +112,6 @@ class SampleSet:
         self.hp = as_bits(hp)
         self.caux = as_bits(caux)
         self.complete = complete
-        self.n = part.n if n is None else n
 
     @property
     def count(self):
@@ -132,7 +131,7 @@ def build_sample_set(code, part, w, aux, budget=None, seed=0, sf=None):
         keep = np.sort(rng.choice(hn2.shape[0], size=budget, replace=False))
         hn2, hp2, ca2 = hn2[keep], hp2[keep], ca2[keep]
         complete = False
-    return SampleSet(part, w, aux.t_aux, hn2, hp2, ca2, complete, n=code.n)
+    return SampleSet(part, w, aux.t_aux, hn2, hp2, ca2, complete)
 
 
 def expected_pair_count(n, k, s, w, t_aux, k_aux):

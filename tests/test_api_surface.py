@@ -1,6 +1,7 @@
-"""Every public module-level function and class under src/dualattack
-has a caller in the program: some module of src/ names it outside its
-own definition, or the benchmark harness under perfbench/ does.
+"""Every public module-level function and class under src/dualattack,
+and every public method of its classes, has a caller in the program:
+some module of src/ names it outside its own definition, or the
+benchmark harness under perfbench/ does.
 
 A helper only the tests reach fails here unless it is listed in
 REFERENCE_ORACLES, the independent brute-force or closed-form values
@@ -57,3 +58,24 @@ def test_public_names_have_a_caller():
     # a name missing here is test-only; a name listed here but called
     # from the program no longer belongs in the list
     assert sorted(defined - used) == sorted(REFERENCE_ORACLES)
+
+
+def test_public_methods_have_a_caller():
+    # a public method of a src/dualattack class is named somewhere in
+    # src/ outside its own definition, or in perfbench/
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _parse(path).body:
+            if not isinstance(stmt, ast.ClassDef):
+                used.update(_names(stmt))
+                continue
+            for item in stmt.body:
+                own = None
+                if isinstance(item, ast.FunctionDef):
+                    own = item.name
+                    if not own.startswith("_"):
+                        defined.add("%s.%s" % (stmt.name, own))
+                used.update(name for name in _names(item) if name != own)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used.update(_names(_parse(path)))
+    assert sorted(m for m in defined if m.split(".")[1] not in used) == []

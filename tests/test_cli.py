@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from dualattack import _kernels as K
 from dualattack import cli
 from dualattack import codes as C
 from dualattack.krawtchouk import krawtchouk_exact
@@ -117,6 +118,19 @@ def test_decode_score_table_budget_exit_1(tmp_path, capsys):
                    "[params]\ns = 42\nu = 0\nw = 1\nk_aux = 40\nt_aux = 1\n")
     assert cli.run(["decode", "--config", str(cfg)]) == 1
     assert "score table" in capsys.readouterr().err
+
+
+def test_decode_syndrome_tables_budget_exit_1(tmp_path, capsys,
+                                               monkeypatch):
+    # the README config: its N-side search needs 598 subset-table entries,
+    # so a cap of 500 refuses the run instead of skipping every trial
+    cfg = tmp_path / "dec.ini"
+    cfg.write_text("[instance]\nn = 40\nk = 20\nt = 5\nseed = 7\n"
+                   "[params]\ns = 16\nu = 3\nw = 5\nk_aux = 8\nt_aux = 1\n")
+    monkeypatch.setattr(K, "MITM_HALF_CAP", 500)
+    assert cli.run(["decode", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "budget exceeded" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("text, line, fragment", [

@@ -197,7 +197,7 @@ def test_shorten_dual_is_punctured_dual(n, k, keep_size, seed):
     part, sf = C.draw_partition(code, n - keep_size,
                                 itertools.repeat(rng, 200))
     lhs = _code_words(C.LinearCode(sf.shortened_parity))
-    rhs = {tuple(part.split(h)[1]) for h in _code_words(code.dual())}
+    rhs = {tuple(part.split(h)[1]) for h in _code_words(C.LinearCode(code.parity, code.generator))}
     assert lhs == rhs
 
 
@@ -226,7 +226,7 @@ def test_systematic_form_dual_projection(seed):
     bot = np.concatenate([np.zeros((7 - s, s), np.uint8), sf.rprime], axis=1)
     for row in np.concatenate([top, bot]):
         y = np.zeros(14, np.uint8)
-        y[sf.column_order] = row
+        y[np.concatenate([part.ppos, part.npos])] = row
         assert code.contains(y)
 
 

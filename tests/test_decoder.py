@@ -320,8 +320,8 @@ def _outcome(fn):
 
 def test_recover_e_matches_one_search_per_candidate(monkeypatch):
     """240 random instances: N_aux 1 and 2, planted and wrong candidates,
-    chunks of one to a few tuples, and a per-target hit cap of 5 that a
-    tuple goes over before or after the first verified one."""
+    kernel chunks of one to a few targets, and a per-target hit cap of 5
+    that a tuple goes over before or after the first verified one."""
     seen = {"found": 0, "none": 0, "budget": 0, "found_past_cap": 0,
             "v_without_n_side": 0}
     for i in range(240):
@@ -349,9 +349,8 @@ def test_recover_e_matches_one_search_per_candidate(monkeypatch):
             m.setattr(D, "comb_xor_search_many", functools.partial(
                 K.comb_xor_search_many, max_hits=cap))
             if i % 6 < 3:
-                # chunks of one to three tuples
-                m.setattr(D, "CHUNK_CELLS", int(rng.integers(1, 4))
-                          * K.comb_left_rows(9, 3 - u))
+                # kernel chunks of one target to a few, on both sides
+                m.setattr(K, "CHUNK_CELLS", int(rng.integers(1, 40)))
             got = _outcome(lambda: D.recover_e(sets, gens, part, y, code, 3,
                                                u, sf=sf))
         assert got == ref, i
@@ -413,6 +412,41 @@ def test_double_rlpn_frozen_one_trial_decodes():
     assert 0 < found < 40
     assert h.hexdigest() == \
         "070657d97f6a89088196c887cbcc10c8e6a48cb037946b0e37a97e9b8e4c58f7"
+
+
+def _readme_decode(n_iter=None):
+    # the README decode config, seed 7
+    code = C.random_code(40, 20, seed=[7, 101])
+    inst = C.DecodingInstance.plant(code, 5, seed=[7, 102])
+    return inst, D.DoubleRlpnParams(s=16, u=3, w=5, k_aux=8, t_aux=1,
+                                    N_iter=n_iter, seed=7)
+
+
+def test_double_rlpn_refuses_oversized_tables_before_any_trial(monkeypatch):
+    # the N-side search (24 columns, weight 3) needs 598 table entries and
+    # the P-side one (16 columns, weight 2) 74; both depend only on the
+    # parameters, so no trial is run
+    inst, p = _readme_decode()
+    monkeypatch.setattr(K, "MITM_HALF_CAP", 500)
+    stats = {}
+    with pytest.raises(C.BudgetExceeded):
+        D.double_rlpn(inst, p, stats)
+    assert stats["trials_used"] == 0
+
+
+def test_double_rlpn_skips_trials_over_data_budgets(monkeypatch):
+    # six trials find the word; with no tuple allowed, every trial that
+    # reaches recover_e goes over its own budget and is skipped
+    inst, p = _readme_decode(n_iter=6)
+    assert D.double_rlpn(inst, p) is not None
+    tried = []
+    recover_e = D.recover_e
+    monkeypatch.setattr(D, "recover_e",
+                        lambda *a, **kw: tried.append(1) or recover_e(*a, **kw))
+    monkeypatch.setattr(D, "MAX_TUPLES", 0)
+    stats = {}
+    assert D.double_rlpn(inst, p, stats) is None
+    assert stats["trials_used"] == 6 and tried
 
 
 def test_double_rlpn_soundness_no_solution():

@@ -66,7 +66,7 @@ def _fhat_brute(y, ss, x):
     """Direct signed sum over pairs at a secret guess x in F2^s."""
     acc = 0
     # the dual words back in original column order
-    h = np.zeros((ss.count, ss.n), np.uint8)
+    h = np.zeros((ss.count, ss.part.n), np.uint8)
     h[:, ss.part.ppos] = ss.hp
     h[:, ss.part.npos] = ss.hn
     for i in range(ss.count):
@@ -81,7 +81,9 @@ def test_build_f_total_and_parseval():
     table = F.build_f(y, ss, aux.code.generator)
     assert int(np.abs(table.values).sum()) <= ss.count
     f2 = int((table.values.astype(object) ** 2).sum())
-    fh = F.wht(F.FourierTable(table.k_aux, table.values.copy()))
+    fh = F.FourierTable(table.k_aux)
+    fh.values[:] = table.values
+    F.wht(fh)
     fh2 = int((fh.values.astype(object) ** 2).sum())
     assert fh2 == (1 << table.k_aux) * f2
 
@@ -104,7 +106,8 @@ def test_fhat_matches_brute_definition_on_fibers():
 def test_wht_self_inverse_on_table():
     _, _, aux, ss, y = _setup(seed=4)
     t0 = F.build_f(y, ss, aux.code.generator)
-    t = F.FourierTable(t0.k_aux, t0.values.copy())
+    t = F.FourierTable(t0.k_aux)
+    t.values[:] = t0.values
     F.wht(t)
     F.wht(t)
     assert np.array_equal(t.values, t0.values << t0.k_aux)
@@ -117,6 +120,25 @@ def test_message_decompose_inconsistent():
     bad = np.array([[0, 0, 1, 0]], np.uint8)
     with pytest.raises(InconsistentAux):
         F.message_decompose(bad, g)
+    with pytest.raises(DomainError):
+        F.message_decompose(ok, np.array([[1, 1, 0, 0], [1, 1, 0, 0]],
+                                         np.uint8))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_message_decompose_recovers_messages(seed):
+    # full-rank generators whose pivots skip columns: a zero first column
+    # and a repeated one
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % 4
+    g = np.zeros((k, 9), np.uint8)
+    while C.gf2_rank(g) < k:
+        g = rng.integers(0, 2, size=(k, 9), dtype=np.uint8)
+        g[:, 0] = 0
+        g[:, 3] = g[:, 2]
+    msgs = rng.integers(0, 2, size=(20, k), dtype=np.uint8)
+    got = F.message_decompose(C.gf2_matmul(msgs, g), g)
+    assert np.array_equal(got, msgs)
 
 
 def test_build_f_rejects_foreign_codewords():
@@ -191,8 +213,6 @@ def test_candidate_set_ordering():
 
 
 def test_table_validation():
-    with pytest.raises(DomainError):
-        F.FourierTable(3, np.zeros(7, np.int64))
     t = F.FourierTable(3)
     assert t.values.shape == (8,)
     # refused before the 2^27-entry table is allocated

@@ -1,4 +1,5 @@
 import os
+from math import comb
 
 import numpy as np
 import pytest
@@ -272,6 +273,38 @@ def test_comb_xor_search_many_budget_per_target():
     with pytest.raises(BudgetExceeded) as err:
         K.comb_xor_search(cols, 0, 2, max_hits=9)
     assert err.value.owner == 0
+
+
+def _search_outcome(cols, targets, t, max_hits=1 << 22):
+    try:
+        owner, idx = K.comb_xor_search_many(cols, targets, t, max_hits)
+    except BudgetExceeded as err:
+        return "over", err.owner
+    return owner.tobytes(), idx.tobytes(), idx.shape
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_comb_xor_search_many_chunks_keep_output(monkeypatch, wide, t):
+    # an absent target (bit 40 is in no column), then 40 drawn from the
+    # planted, repeated, zero and random ones
+    cols, targets = _many_cases(wide)
+    absent = np.zeros_like(targets[:1])
+    absent.reshape(-1)[0] = 1 << 40
+    targets = np.concatenate([absent, targets[
+        np.random.default_rng(t).integers(0, targets.shape[0], size=40)]])
+    owner, _ = K.comb_xor_search_many(cols, targets, t)
+    cap = int(np.bincount(owner).max()) - 1
+    # one target per chunk, one per chunk of the split at left weight 1,
+    # and all in one chunk
+    got = []
+    for cells in (1, comb(6, 1), K.CHUNK_CELLS):
+        monkeypatch.setattr(K, "CHUNK_CELLS", cells)
+        got.append([_search_outcome(cols, targets, t, max_hits)
+                    for max_hits in (1 << 22, cap)])
+    assert got[0] == got[1] == got[2]
+    # a target past the first chunk goes over the cap, and keeps its row
+    assert got[0][1][0] == "over" and got[0][1][1] > 0
 
 
 @pytest.mark.parametrize("n, t, ntg, fits", [
