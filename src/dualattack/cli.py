@@ -282,7 +282,6 @@ def _cmd_survival(args):
         dparams = DoubleRlpnParams(mc["s"], mc["u"], mc["w"], mc["k_aux"],
                                    mc["t_aux"],
                                    sample_budget=ec.get("sample_budget"))
-        dparams.validate(mc["n"], mc["k"], mc["t"])
     except DomainError as exc:
         raise ConfigError(f"{where['model']}: {exc}") from exc
     t0 = time.monotonic()
@@ -356,14 +355,13 @@ def _cmd_lattice_score(args):
         if not args.config:
             raise ConfigError("--preset custom needs --config")
         cfg, where = read_config(args.config, {
-            "lattice": ({"n": _pos_int, "q": _pos_int, "log_volume": _float,
-                         "N": _pos_int, "w": _float, "T": _float},
-                        ("n", "q", "log_volume", "N", "w")),
+            "lattice": ({"n": _pos_int, "log_volume": _float,
+                         "N": _pos_int, "w": _float},
+                        ("n", "log_volume", "N", "w")),
         })
         lc = cfg["lattice"]
         try:
-            params = LatticeScoreParams(lc["n"], lc["q"], lc["log_volume"],
-                                        lc["N"], lc["w"], lc.get("T", 0.0))
+            params = LatticeScoreParams(**lc)
         except DomainError as exc:
             raise ConfigError(f"{where['lattice']}: {exc}") from exc
         echo = dict(lc)

@@ -86,23 +86,14 @@ def gf2_nullspace(a):
 class LinearCode:
     """An [n, k] binary code given by a full-rank generator matrix."""
 
-    def __init__(self, generator, parity=None):
+    def __init__(self, generator):
         g = as_bits(np.atleast_2d(generator))
         self.k, self.n = g.shape
-        if parity is None:
-            # the nullspace has n - rank rows, so it also checks the rank
-            parity = gf2_nullspace(g)
-            if parity.shape[0] != self.n - self.k:
-                raise RankDeficient("generator rows are dependent")
-        elif gf2_rank(g) != self.k:
-            raise RankDeficient("generator rows are dependent")
         self.generator = g
-        h = as_bits(np.atleast_2d(parity))
-        if h.shape != (self.n - self.k, self.n):
-            raise DomainError("parity matrix has the wrong shape")
-        if self.k and h.shape[0] and np.any(gf2_matmul(g, h.T)):
-            raise DomainError("parity and generator are not orthogonal")
-        self.parity = h
+        # the nullspace has n - rank rows, so it also checks the rank
+        self.parity = gf2_nullspace(g)
+        if self.parity.shape[0] != self.n - self.k:
+            raise RankDeficient("generator rows are dependent")
 
     def syndrome(self, y):
         return gf2_matmul(as_bits(y).reshape(1, -1), self.parity.T)[0]

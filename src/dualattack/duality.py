@@ -150,44 +150,28 @@ class SurvivalCurve:
 
 
 def wilson_interval(hits, trials):
-    """95% score interval for a binomial proportion."""
+    """95% score interval for a binomial proportion, elementwise over an
+    array of hit counts."""
     z = 1.959963984540054
     if trials <= 0:
         raise DomainError("need at least one trial")
-    p = hits / trials
+    p = np.asarray(hits) / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials
-                                   + z * z / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    half = (z / denom) * np.sqrt(p * (1 - p) / trials
+                                 + z * z / (4 * trials * trials))
+    return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
 
 
 def _threshold_grid(values, grid):
     # at most 512 natural thresholds, taken at quantiles of the values
     if grid is not None:
-        g = [float(t) for t in grid]
-        if sorted(g) != g:
-            raise DomainError("threshold grid must ascend")
-        return g
+        return np.asarray(grid, dtype=np.float64)
     uniq = np.unique(values)
     if uniq.size <= 512:
-        return uniq.tolist()
+        return uniq
     qs = np.linspace(0.0, 1.0, 512)
-    return np.unique(np.quantile(uniq, qs, method="nearest")).tolist()
-
-
-def _survival_from_draws(label, stats, scale, grid, meta):
-    stats = np.sort(np.asarray(stats, dtype=np.float64))
-    trials = stats.size
-    thresholds = _threshold_grid(stats, grid)
-    counts, lo, hi = [], [], []
-    for t in thresholds:
-        hits = trials - int(np.searchsorted(stats, t, side="left"))
-        counts.append(scale * hits / trials)
-        a, b = wilson_interval(hits, trials)
-        lo.append(scale * a)
-        hi.append(scale * b)
-    return SurvivalCurve(label, thresholds, counts, lo, hi, meta)
+    return np.unique(np.quantile(uniq, qs, method="nearest"))
 
 
 def model_intensities(nparams):
@@ -240,8 +224,8 @@ def poisson_survival(nparams, trials=10 ** 5, seed=0, n_samples=None,
     expected number of candidates out of 2^k_aux."""
     if trials < 10 ** 4:
         raise DomainError("need at least 10^4 trials")
-    stats = poisson_statistics(nparams, trials, seed=seed,
-                               n_samples=n_samples)
+    stats = np.sort(poisson_statistics(nparams, trials, seed=seed,
+                                       n_samples=n_samples))
     meta = {
         "axis": "score",
         "pair_expectation": float(nparams.expected_pairs()),
@@ -249,11 +233,15 @@ def poisson_survival(nparams, trials=10 ** 5, seed=0, n_samples=None,
                     if n_samples is None else float(n_samples)),
         "trials": int(trials),
     }
-    return _survival_from_draws("poisson", stats, 2.0 ** nparams.k_aux,
-                                grid, meta)
+    thresholds = _threshold_grid(stats, grid)
+    hits = trials - np.searchsorted(stats, thresholds, side="left")
+    lo, hi = wilson_interval(hits, trials)
+    scale = 2.0 ** nparams.k_aux
+    return SurvivalCurve("poisson", thresholds, scale * hits / trials,
+                         scale * lo, scale * hi, meta)
 
 
-def independence_survival(nparams, n_samples, grid=None):
+def independence_survival(nparams, n_samples, grid):
     """Survival curve when scores are sums of n_samples fair signs.
 
     The binomial tail is evaluated through the regularized incomplete
@@ -266,26 +254,15 @@ def independence_survival(nparams, n_samples, grid=None):
     n_samples = int(n_samples)
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
-    if grid is None:
-        top = min(float(n_samples), 12.0 * math.sqrt(n_samples))
-        grid = np.linspace(0.0, top, 257)
-    thresholds = [float(t) for t in grid]
+    thresholds = np.asarray(grid, dtype=np.float64)
     scale = 2.0 ** nparams.k_aux
-    counts = []
-    for t in thresholds:
-        if t > n_samples:
-            counts.append(0.0)
-            continue
-        kmin = math.ceil((t + n_samples) / 2.0)
-        if kmin <= 0:
-            counts.append(scale)
-            continue
-        if n_samples <= 10 ** 5:
-            p = float(binom.sf(kmin - 1, n_samples, 0.5))
-        else:
-            zval = (kmin - 0.5 - n_samples / 2.0) / math.sqrt(n_samples / 4.0)
-            p = float(norm.sf(zval))
-        counts.append(scale * p)
+    kmin = np.ceil((thresholds + n_samples) / 2.0)
+    if n_samples <= 10 ** 5:
+        p = binom.sf(kmin - 1, n_samples, 0.5)
+    else:
+        p = norm.sf((kmin - 0.5 - n_samples / 2.0) / math.sqrt(n_samples / 4.0))
+    counts = np.where(thresholds > n_samples, 0.0,
+                      np.where(kmin <= 0, scale, scale * p))
     meta = {"axis": "score", "samples": float(n_samples),
             "exact": n_samples <= 10 ** 5}
     return SurvivalCurve("independence", thresholds, counts, meta=meta)
@@ -321,9 +298,9 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
             code.n, code.k, params.s, params.w, params.t_aux, params.k_aux)),
     }
     if ss.count == 0:
-        thresholds = [0.0] if grid is None else [float(g) for g in grid]
+        thresholds = _threshold_grid([0.0], grid)
         return SurvivalCurve("experimental", thresholds,
-                             [0.0] * len(thresholds), meta=meta)
+                             np.zeros(thresholds.size), meta=meta)
     table = build_f(y, ss, aux.code.generator)
     scores = np.asarray(wht(table).values, dtype=np.int64)
     ep, _ = part.split(e)
@@ -342,20 +319,15 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
         sample = np.sort(wrong)
         scale = 1.0
     thresholds = _threshold_grid(sample, grid)
-    counts, lo, hi = [], [], []
-    for thr in thresholds:
-        hits = sample.size - int(np.searchsorted(sample, thr, side="left"))
-        counts.append(scale * hits)
-        if scale == 1.0:
-            # exhaustive scan: the count is exact, not an estimate
-            lo.append(float(hits))
-            hi.append(float(hits))
-        else:
-            a, b = wilson_interval(hits, sample.size)
-            lo.append(scale * sample.size * a)
-            hi.append(scale * sample.size * b)
+    hits = sample.size - np.searchsorted(sample, thresholds, side="left")
+    # an exhaustive scan counts exactly, so its band is the count itself
+    lo = hi = None
+    if scale != 1.0:
+        lo, hi = wilson_interval(hits, sample.size)
+        lo, hi = scale * sample.size * lo, scale * sample.size * hi
     meta["num_x"] = "all" if scale == 1.0 else int(sample.size)
-    return SurvivalCurve("experimental", thresholds, counts, lo, hi, meta)
+    return SurvivalCurve("experimental", thresholds, scale * hits, lo, hi,
+                         meta)
 
 
 class AdmissibleRegion:

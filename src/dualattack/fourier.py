@@ -98,10 +98,9 @@ def build_f(y, samples, g_aux):
     msgs = message_decompose(samples.caux, g_aux)
     # k_aux < 64, since the table has 2^k_aux entries
     idx = pack_rows(msgs)[:, 0].view(np.int64)
-    # +1 per agreeing label, -1 per other; float64 sums stay exact
-    # integers below 2^53 pairs
-    table.values += np.bincount(idx, weights=1.0 - 2.0 * labels,
-                                minlength=1 << k_aux).astype(np.int64)
+    # +1 per agreeing label, -1 per other; labels are uint8, so cast
+    # before subtracting
+    np.add.at(table.values, idx, 1 - 2 * labels.astype(np.int64))
     return table
 
 

@@ -28,17 +28,14 @@ def log_ball_volume(n):
 
 @dataclass(frozen=True)
 class LatticeScoreParams:
-    """Sieve statistics and lattice metadata driving the score model.
+    """Sieve statistics and lattice volume driving the score model.
 
-    log_volume is the natural log of the lattice covolume; T is the
-    number of score samples taken in the experiment (metadata only)."""
+    log_volume is the natural log of the lattice covolume."""
 
     n: int
-    q: int
     log_volume: float
     N: int
     w: float
-    T: float = 0.0
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2:
@@ -58,13 +55,13 @@ def preset_params(name):
     from (N, w) through the Gaussian heuristic on the dual: the volume
     is set so that exactly N dual vectors are expected at norm w."""
     if name == "fig3-left":
-        n, q, N, w, T = 60, 3329, 5040, 0.0320, 2.0 ** 45
+        n, N, w = 60, 5040, 0.0320
     elif name == "fig3-right":
-        n, q, N, w, T = 80, 3329, 89494, 0.0376, 2.0 ** 48
+        n, N, w = 80, 89494, 0.0376
     else:
         raise DomainError("unknown preset " + repr(name))
     log_dual_volume = log_ball_volume(n) + n * math.log(w) - math.log(N)
-    return LatticeScoreParams(n, q, -log_dual_volume, N, w, T)
+    return LatticeScoreParams(n, -log_dual_volume, N, w)
 
 
 def log_gamma_rate(params):

@@ -79,3 +79,73 @@ def test_public_methods_have_a_caller():
     for path in sorted(PERFBENCH.glob("*.py")):
         used.update(_names(_parse(path)))
     assert sorted(m for m in defined if m.split(".")[1] not in used) == []
+
+
+# an optional parameter no program call passes, kept on purpose
+UNPASSED_DEFAULTS = {
+    "candidate_bound(exponent)": "the oracle's polynomial slack, which a "
+                                 "finite-length comparison sets to 0",
+}
+
+
+def _optional_params(path):
+    # (callable name, parameter, positional index or None) for every
+    # parameter with a default of a public function, method or class
+    # constructor; a method's index leaves out self or cls
+    def params(name, args, skip):
+        pos = (args.posonlyargs + args.args)[skip:]
+        for i, arg in enumerate(pos[len(pos) - len(args.defaults):],
+                                len(pos) - len(args.defaults)):
+            yield name, arg.arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+    for stmt in _parse(path).body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield from params(stmt.name, stmt.args, 0)
+        if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+            continue
+        if any("dataclass" in set(_names(d)) for d in stmt.decorator_list):
+            fields = [f for f in stmt.body if isinstance(f, ast.AnnAssign)]
+            for i, field in enumerate(fields):
+                if field.value is not None:
+                    yield stmt.name, field.target.id, i
+        for item in stmt.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            static = "staticmethod" in {getattr(d, "id", None)
+                                        for d in item.decorator_list}
+            if item.name == "__init__":
+                yield from params(stmt.name, item.args, 1)
+            elif not item.name.startswith("_"):
+                yield from params(item.name, item.args, 0 if static else 1)
+
+
+def _calls(path):
+    # callee name -> (positional count, keyword names) per call; a *
+    # argument passes every later position and ** every keyword
+    for node in ast.walk(_parse(path)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        npos = len(node.args)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            npos = float("inf")
+        yield name, npos, {kw.arg for kw in node.keywords}
+
+
+def test_optional_parameters_have_a_caller():
+    calls = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for name, npos, kws in _calls(path):
+            calls.setdefault(name, []).append((npos, kws))
+    unpassed = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, param, index in _optional_params(path):
+            if not any(param in kws or None in kws
+                       or (index is not None and index < npos)
+                       for npos, kws in calls.get(name, ())):
+                unpassed.add("%s(%s)" % (name, param))
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)

@@ -328,8 +328,8 @@ def test_lattice_score_custom_matches_preset(tmp_path):
     from dualattack.lattice import preset_params
     p = preset_params("fig3-left")
     cfg = tmp_path / "lat.ini"
-    cfg.write_text("[lattice]\nn = %d\nq = %d\nlog_volume = %r\n"
-                   "N = %d\nw = %r\n" % (p.n, p.q, p.log_volume, p.N, p.w))
+    cfg.write_text("[lattice]\nn = %d\nlog_volume = %r\n"
+                   "N = %d\nw = %r\n" % (p.n, p.log_volume, p.N, p.w))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     common = ["--points", "5", "--trials", "100000", "--seed", "9"]
     assert cli.run(["lattice-score", "--preset", "fig3-left",
@@ -339,10 +339,23 @@ def test_lattice_score_custom_matches_preset(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("field", ["q = 3329", "T = 35184372088832.0"])
+def test_lattice_score_custom_rejects_q_and_T(field, tmp_path, capsys):
+    # no model reads the modulus or the sample count, so a config that
+    # still gives them names an unknown field
+    cfg = tmp_path / "lat.ini"
+    cfg.write_text("[lattice]\nn = 60\nlog_volume = 255.0\n"
+                   "N = 5040\nw = 0.032\n%s\n" % field)
+    assert cli.run(["lattice-score", "--preset", "custom", "--config",
+                    str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:6" in err and "unknown field" in err
+
+
 def test_lattice_score_flag_conflicts(tmp_path, capsys):
     assert cli.run(["lattice-score", "--preset", "custom"]) == 2
     cfg = tmp_path / "lat.ini"
-    cfg.write_text("[lattice]\nn = 60\nq = 3329\nlog_volume = 255.0\n"
+    cfg.write_text("[lattice]\nn = 60\nlog_volume = 255.0\n"
                    "N = 5040\nw = 0.032\n")
     assert cli.run(["lattice-score", "--preset", "fig3-left",
                     "--config", str(cfg)]) == 2

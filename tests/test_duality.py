@@ -2,6 +2,7 @@
 rational arithmetic on batches of random instances; the survival models
 are pinned to their defining formulas and to each other."""
 
+import math
 from fractions import Fraction
 from math import comb
 
@@ -227,12 +228,14 @@ def test_independence_survival_values():
     assert curve.counts[2] == 0.0
     assert curve.counts[1] == pytest.approx(2.0 ** 19, rel=5e-3)
     with pytest.raises(DomainError):
-        DU.independence_survival(mp, 0)
+        DU.independence_survival(mp, 0, grid=[0.0])
 
 
 def test_independence_normal_switch():
     mp = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
-    curve = DU.independence_survival(mp, 2 * 10 ** 5)
+    top = 12.0 * np.sqrt(2 * 10 ** 5)
+    curve = DU.independence_survival(mp, 2 * 10 ** 5,
+                                     grid=np.linspace(0.0, top, 257))
     assert curve.meta["exact"] is False
     assert curve.counts == sorted(curve.counts, reverse=True)
     assert 0.0 <= curve.counts[-1] <= curve.counts[0] <= 2.0 ** 20
@@ -351,3 +354,158 @@ def test_model_params_validation():
     assert mp.expected_pairs() == Fraction(comb(32, 5) * comb(28, 2), 2 ** 10)
     want = expected_pair_count(60, 30, 28, 5, 2, 20)
     assert mp.expected_pairs() == delta(dp, 60, 30, 8).htilde_expected == want
+
+
+# The per-threshold loops the array passes replaced, kept as the
+# reference: every float of a curve must come out bit for bit the same.
+
+def _wilson_scalar(hits, trials):
+    z = 1.959963984540054
+    p = hits / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = (z / denom) * math.sqrt(p * (1 - p) / trials
+                                   + z * z / (4 * trials * trials))
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def _grid_loop(values, grid):
+    if grid is not None:
+        return [float(t) for t in grid]
+    uniq = np.unique(values)
+    if uniq.size <= 512:
+        return uniq.tolist()
+    qs = np.linspace(0.0, 1.0, 512)
+    return np.unique(np.quantile(uniq, qs, method="nearest")).tolist()
+
+
+def _experimental_loop(sample, grid, scale):
+    thresholds = _grid_loop(sample, grid)
+    counts, lo, hi = [], [], []
+    for thr in thresholds:
+        hits = sample.size - int(np.searchsorted(sample, thr, side="left"))
+        counts.append(scale * hits)
+        if scale == 1.0:
+            lo.append(float(hits))
+            hi.append(float(hits))
+        else:
+            a, b = _wilson_scalar(hits, sample.size)
+            lo.append(scale * sample.size * a)
+            hi.append(scale * sample.size * b)
+    return thresholds, counts, lo, hi
+
+
+def _poisson_loop(stats, grid, scale):
+    trials = stats.size
+    thresholds = _grid_loop(stats, grid)
+    counts, lo, hi = [], [], []
+    for t in thresholds:
+        hits = trials - int(np.searchsorted(stats, t, side="left"))
+        counts.append(scale * hits / trials)
+        a, b = _wilson_scalar(hits, trials)
+        lo.append(scale * a)
+        hi.append(scale * b)
+    return thresholds, counts, lo, hi
+
+
+def _independence_loop(scale, n_samples, grid):
+    from scipy.stats import binom, norm
+
+    thresholds = [float(t) for t in grid]
+    counts = []
+    for t in thresholds:
+        if t > n_samples:
+            counts.append(0.0)
+            continue
+        kmin = math.ceil((t + n_samples) / 2.0)
+        if kmin <= 0:
+            counts.append(scale)
+            continue
+        if n_samples <= 10 ** 5:
+            p = float(binom.sf(kmin - 1, n_samples, 0.5))
+        else:
+            zval = (kmin - 0.5 - n_samples / 2.0) / math.sqrt(n_samples / 4.0)
+            p = float(norm.sf(zval))
+        counts.append(scale * p)
+    return thresholds, counts, counts, counts
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=np.float64).tobytes()
+
+
+def _assert_same_curve(curve, ref):
+    got = (curve.thresholds, curve.counts, curve.ci_low, curve.ci_high)
+    for field, a, b in zip(("thresholds", "counts", "ci_low", "ci_high"),
+                           got, ref):
+        assert len(a) == len(b) and _bits(a) == _bits(b), field
+
+
+@pytest.fixture
+def grid_values(monkeypatch):
+    # the sorted values each curve counts, as handed to the grid builder
+    seen = []
+    grid = DU._threshold_grid
+
+    def spy(values, g):
+        seen.append(np.array(values))
+        return grid(values, g)
+
+    monkeypatch.setattr(DU, "_threshold_grid", spy)
+    return seen
+
+
+@pytest.mark.parametrize("num_x", ["all", 1, 16, 31])
+@pytest.mark.parametrize("natural", [True, False])
+def test_experimental_survival_matches_threshold_loop(num_x, natural,
+                                                      grid_values):
+    code = C.random_code(24, 12, seed=8)
+    inst = C.DecodingInstance.plant(code, 3, seed=8)
+    p = DoubleRlpnParams(s=10, u=2, w=4, k_aux=5, t_aux=1)
+    pairs = DU.experimental_survival(inst, p, seed=4).meta["samples"]
+    grid = None if natural else [-pairs - 1, -3.5, 0.0, 2.5, 7.0, pairs + 1]
+    grid_values.clear()
+    curve = DU.experimental_survival(inst, p, num_x=num_x, seed=4, grid=grid)
+    (sample,) = grid_values
+    scale = 1.0 if num_x == "all" else 31 / num_x
+    _assert_same_curve(curve, _experimental_loop(sample, grid, scale))
+
+
+@pytest.mark.parametrize("n_samples", [None, 40])
+@pytest.mark.parametrize("natural", [True, False])
+def test_poisson_survival_matches_threshold_loop(n_samples, natural,
+                                                 grid_values):
+    mp = DU.ModelParams(n=24, k=12, t=3, s=10, u=2, w=4, k_aux=5, t_aux=1)
+    grid = None if natural else [-1e9, -41.0, -2.5, 0.0, 0.5, 3.0, 41.0, 1e9]
+    curve = DU.poisson_survival(mp, trials=10 ** 4, seed=6,
+                                n_samples=n_samples, grid=grid)
+    (stats,) = grid_values
+    assert np.array_equal(stats, np.sort(DU.poisson_statistics(
+        mp, 10 ** 4, seed=6, n_samples=n_samples)))
+    if natural:
+        assert stats.size > 512   # the quantile grid is the one in use
+    _assert_same_curve(curve, _poisson_loop(stats, grid, 2.0 ** 5))
+
+
+@pytest.mark.parametrize("n_samples", [1, 7, 65536, 10 ** 5, 10 ** 5 + 1,
+                                       2 * 10 ** 5])
+def test_independence_survival_matches_threshold_loop(n_samples):
+    mp = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
+    root = math.sqrt(n_samples)
+    grid = sorted({-n_samples - 1.0, -n_samples, -n_samples + 0.5, -1.0,
+                   0.0, 0.5, 1.0, 2.0 * root, 4.7 * root, n_samples - 1.0,
+                   float(n_samples), n_samples + 0.5, n_samples + 1.0})
+    curve = DU.independence_survival(mp, n_samples, grid=grid)
+    _assert_same_curve(curve, _independence_loop(2.0 ** 20, n_samples, grid))
+    assert curve.counts[0] == 2.0 ** 20 and curve.counts[-1] == 0.0
+
+
+@pytest.mark.parametrize("trials", [1, 7, 50, 65536, 10 ** 5])
+def test_wilson_interval_matches_scalar_form(trials):
+    hits = np.arange(trials + 1)
+    lo, hi = DU.wilson_interval(hits, trials)
+    ref = [_wilson_scalar(h, trials) for h in hits.tolist()]
+    assert _bits(lo) == _bits([a for a, _ in ref])
+    assert _bits(hi) == _bits([b for _, b in ref])
+    # the ends are clipped to [0, 1], and may round just inside it
+    assert 0.0 <= lo[0] <= 1e-15 and 1.0 - 1e-15 <= hi[-1] <= 1.0

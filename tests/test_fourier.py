@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -139,6 +141,32 @@ def test_message_decompose_recovers_messages(seed):
     msgs = rng.integers(0, 2, size=(20, k), dtype=np.uint8)
     got = F.message_decompose(C.gf2_matmul(msgs, g), g)
     assert np.array_equal(got, msgs)
+
+
+@pytest.mark.parametrize("k_aux,count", [(1, 300), (8, 3000), (20, 65536),
+                                         (8, 0)])
+def test_build_f_matches_bincount_table(k_aux, count):
+    # the float64 bincount fill that the integer fill replaced, on a
+    # synthetic sample set whose auxiliary messages are drawn directly
+    rng = np.random.default_rng([k_aux, count])
+    n, s = 40, 24
+    part = C.Partition.random(n, s, rng)
+    g_aux = C.random_code(s, k_aux, seed=k_aux).generator
+    msgs = rng.integers(0, 2, size=(count, k_aux), dtype=np.uint8)
+    ss = SimpleNamespace(
+        part=part, count=count, caux=C.gf2_matmul(msgs, g_aux),
+        hp=rng.integers(0, 2, size=(count, s), dtype=np.uint8),
+        hn=rng.integers(0, 2, size=(count, n - s), dtype=np.uint8))
+    y = rng.integers(0, 2, size=n, dtype=np.uint8)
+    yp, yn = part.split(y)
+    labels = (C.gf2_matmul(ss.hn, yn.reshape(-1, 1))
+              ^ C.gf2_matmul(ss.hp, yp.reshape(-1, 1)))[:, 0]
+    idx = msgs.astype(np.int64) @ (1 << np.arange(k_aux))
+    ref = np.bincount(idx, weights=1.0 - 2.0 * labels,
+                      minlength=1 << k_aux).astype(np.int64)
+    table = F.build_f(y, ss, g_aux)
+    assert table.values.dtype == np.int64
+    assert np.array_equal(table.values, ref)
 
 
 def test_build_f_rejects_foreign_codewords():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -23,12 +24,10 @@ def test_log_ball_volume():
 
 def test_preset_params():
     p = L.preset_params("fig3-left")
-    assert (p.n, p.q, p.N) == (60, 3329, 5040)
-    assert p.w == 0.0320 and p.T == 2.0 ** 45
+    assert (p.n, p.N, p.w) == (60, 5040, 0.0320)
     assert abs(p.log_volume - 255.363) < 0.01
     r = L.preset_params("fig3-right")
-    assert (r.n, r.q, r.N) == (80, 3329, 89494)
-    assert r.w == 0.0376 and r.T == 2.0 ** 48
+    assert (r.n, r.N, r.w) == (80, 89494, 0.0376)
     assert abs(r.log_volume - 338.400) < 0.01
     with pytest.raises(DomainError):
         L.preset_params("unknown-preset")
@@ -45,15 +44,15 @@ def test_preset_volume_matches_dual_count():
 
 def test_params_validation():
     with pytest.raises(DomainError):
-        L.LatticeScoreParams(59, 2, 1.0, 10, 0.1)
+        L.LatticeScoreParams(59, 1.0, 10, 0.1)
     with pytest.raises(DomainError):
-        L.LatticeScoreParams(0, 2, 1.0, 10, 0.1)
+        L.LatticeScoreParams(0, 1.0, 10, 0.1)
     with pytest.raises(DomainError):
-        L.LatticeScoreParams(60, 2, 1.0, 0, 0.1)
+        L.LatticeScoreParams(60, 1.0, 0, 0.1)
     with pytest.raises(DomainError):
-        L.LatticeScoreParams(60, 2, 1.0, 10, 0.0)
+        L.LatticeScoreParams(60, 1.0, 10, 0.0)
     with pytest.raises(DomainError):
-        L.LatticeScoreParams(60, 2, math.inf, 10, 0.1)
+        L.LatticeScoreParams(60, math.inf, 10, 0.1)
 
 
 def _bessel(k, x):
@@ -76,7 +75,7 @@ def test_bessel_trivial_points():
 def test_floor_score_at_vanishing_distance():
     # n = 2 puts J_0 in the floor, and a tiny volume sends x = 2 pi w j
     # to 0, where J_0 is 1 and the score is the floor's lead term
-    p = L.LatticeScoreParams(2, 3329, -2000.0, 10, 0.05)
+    p = L.LatticeScoreParams(2, -2000.0, 10, 0.05)
     got = L._floor_scores(p, np.array([-1000.0]))
     lead = math.log(p.N) + 0.5 * math.log(2.0 * math.pi) - 1.0
     assert got[0] == pytest.approx(math.exp(lead), rel=1e-12)
@@ -144,7 +143,7 @@ def test_bessel_derivative_identity():
 
 def test_floor_linear_in_scan_count():
     p = L.preset_params("fig3-left")
-    p2 = L.LatticeScoreParams(p.n, p.q, p.log_volume, 2 * p.N, p.w, p.T)
+    p2 = dataclasses.replace(p, N=2 * p.N)
     for j in (2.0, 50.0, 120.0, 200.0):
         s1, l1 = L.floor_value(p, j)
         s2, l2 = L.floor_value(p2, j)
@@ -226,7 +225,7 @@ def test_survival_refined_dominance():
 def test_survival_gaussian_limit_when_floor_far():
     # push the volume up so the closest lattice point is far out and its
     # score contribution vanishes: refined collapses onto independence
-    p = L.LatticeScoreParams(60, 3329, 400.0, 5040, 0.0320)
+    p = L.LatticeScoreParams(60, 400.0, 5040, 0.0320)
     grid = np.linspace(0.0, 250.0, 11)
     c = L.survival_refined(p, grid, mc_trials=10 ** 5, seed=1)
     ref, ind = c.survival["refined"], c.survival["independence"]

@@ -121,7 +121,7 @@ def test_gray_and_mitm_agree_on_wide_shortened_code():
     h[:, :s] = rng.integers(0, 2, size=(r, s), dtype=np.uint8)
     for i in range(r):
         h[i, s + 2 * i:s + 2 * i + 2] = 1
-    code = C.LinearCode(C.gf2_nullspace(h), h)
+    code = C.LinearCode(C.gf2_nullspace(h))
     part = C.Partition(n, np.arange(s))
     assert code.k - s > 64
     for w, count in [(2, r), (3, 0), (4, comb(r, 2))]:
@@ -139,7 +139,7 @@ def test_gray_and_mitm_agree_on_wide_shortened_code():
 def test_enumerate_finds_every_dual_word(seed=6):
     code = C.random_code(14, 8, seed)
     part = _good_partition(code, 5, seed)
-    duals = _all_words(C.LinearCode(code.parity, code.generator))
+    duals = _all_words(C.LinearCode(code.parity))
     for w in range(10):
         hn, hp = S.enumerate_dual_low_weight(code, part, w)
         got = {tuple(np.concatenate([p, n_]))
@@ -198,7 +198,7 @@ def test_pair_invariants_and_membership():
     assert ss.complete
     assert np.all(ss.hn.sum(axis=1) == 3)
     assert np.all(((ss.hp + ss.caux) % 2).sum(axis=1) == 1)
-    dual = C.LinearCode(code.parity, code.generator)
+    dual = C.LinearCode(code.parity)
     # the dual words back in original column order
     h = np.zeros((ss.count, code.n), np.uint8)
     h[:, part.ppos] = ss.hp
