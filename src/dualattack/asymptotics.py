@@ -8,7 +8,11 @@ nested grid refinement.  The dual-attack exponent couples a bet on the
 error split with parity-check production, an FFT over the auxiliary
 quotient, candidate filtering and two inner syndrome-decoding stages; it
 is minimized by penalized Nelder-Mead from many starts, and every
-reported point is re-verified against the full constraint list.
+reported point is re-verified against the full constraint list.  Its
+two inner Dumer searches run only where the ISD term can bind: a row
+whose ISD term, with each search replaced by a certified upper bound
+(the search's own cell at lam = 0), stays below the other terms gets
+alpha from those terms alone, the same float the full maximum gives.
 
 The Nelder-Mead here is a numpy port of scipy's, step for step, that
 advances all starts of a search phase together and evaluates the points
@@ -310,11 +314,22 @@ def _candidate_exponent(R, sigma, anchor, om, h_om, perp):
         h, q = _h2v(grid), p
 
 
+def _dumer_cap(Rp, taup):
+    # certified upper bound on _dumer_grids at (Rp, taup): the cost of its
+    # level-0 cell at lam = 0, omega' = max(Rp + taup - 1, 0), which the
+    # grid evaluates exactly and where the list terms cancel, plus 1e-9
+    # for the grid's rounding (taup = 0 gives 1e-9, above the grid's 0)
+    return h2(taup) - _ch2(1.0 - Rp, taup - max(Rp + taup - 1.0, 0.0)) + 1e-9
+
+
 def _drlpn_rows(R, tau, rows, N_aux):
     # (alpha, residuals as RESIDUAL_LABELS, positive if violated) of each
     # (sigma, R_aux, tau_aux, omega, mu) row.  Per-row terms stay in math,
     # whose log2 can differ from np.log2 in the last bit; the three grid
-    # minimizations run once over all rows
+    # minimizations run once over all rows.  A row whose ISD term cannot
+    # bind, even with each Dumer search at its _dumer_cap, skips the Dumer
+    # grids: alpha is then pi + max(eq, nu_samples, R_aux), the same float
+    # the full max gives, since every term is monotone in the grid values
     h_tau = h2(tau)
     glue, eps, probs = [], [], []
     for sigma, R_aux, tau_aux, omega, mu in rows:
@@ -328,14 +343,13 @@ def _drlpn_rows(R, tau, rows, N_aux):
         glue.append((tau_bar, omega_bar, h_tb, h_ob, _omega_perp(tau_bar), _omega_perp(omega_bar),
                      sigma, Rp, sigma * k1 + (1.0 - sigma) * k2))
         eps.append(sigma * (k1 - h_tb) + (1.0 - sigma) * (k2 - h_ob))
-        probs += [(max(1.0 - N_aux * R_aux / sigma, 0.0), min(d1, 0.5)), (max(Rp, 0.0), min(d2, 0.5))]
+        probs.append(((max(1.0 - N_aux * R_aux / sigma, 0.0), min(d1, 0.5)), (max(Rp, 0.0), min(d2, 0.5))))
     # columns: the two kappa weights, their entropies and branch points,
     # then sigma, Rp and the planted cell's kappa
     g = np.array(glue)
     bjmm = _bjmm_min(g[:, 7], g[:, 1], pts=33).tolist()
     cand = _candidate_exponent(R, g[:, 6], g[:, 8], g[:, 0:2], g[:, 2:4], g[:, 4:6]).tolist()
-    grids = _dumer_grids(probs, levels=3, pts=33)
-    out = []
+    alphas, resids, need = [], [], []
     for i, (sigma, R_aux, tau_aux, omega, mu) in enumerate(rows):
         eps_bias, h_ob = eps[i], glue[i][3]
         bet, aux = _ch2(sigma, tau - mu), _ch2(sigma, tau_aux)
@@ -343,14 +357,20 @@ def _drlpn_rows(R, tau, rows, N_aux):
         pi = h_tau - bet - _ch2(1.0 - sigma, mu)
         eq = (1.0 - sigma) * min(bjmm[i], h_ob)
         nu_samples = checks - (R - R_aux)
-        isd_a = sigma * grids[2 * i][0]
         nu_isd = max(bet - N_aux * R_aux, 0.0)
-        isd_b = nu_isd + (1.0 - sigma) * grids[2 * i + 1][0]
-        alpha = pi + max(eq, nu_samples, R_aux, N_aux * cand[i] + max(isd_a, isd_b))
-        residuals = [sigma - R, (tau - sigma) - mu, mu - tau, omega - (1.0 - sigma), -sigma, -R_aux, -tau_aux,
-                     -omega, -mu, (-2.0 * eps_bias) - nu_samples, checks - R, aux - (sigma - R_aux)]
-        out.append((alpha, residuals))
-    return out
+        rest = max(eq, nu_samples, R_aux)
+        (pa, pb), isd = probs[i], N_aux * cand[i]
+        if not isd + max(sigma * _dumer_cap(*pa), nu_isd + (1.0 - sigma) * _dumer_cap(*pb)) < rest:
+            need.append((i, sigma, pi, rest, isd, nu_isd))
+        alphas.append(pi + rest)
+        resids.append([sigma - R, (tau - sigma) - mu, mu - tau, omega - (1.0 - sigma), -sigma, -R_aux, -tau_aux,
+                       -omega, -mu, (-2.0 * eps_bias) - nu_samples, checks - R, aux - (sigma - R_aux)])
+    grids = iter(_dumer_grids([p for i, *_ in need for p in probs[i]], levels=3, pts=33))
+    for i, sigma, pi, rest, isd, nu_isd in need:
+        isd_a = sigma * next(grids)[0]
+        isd_b = nu_isd + (1.0 - sigma) * next(grids)[0]
+        alphas[i] = pi + max(rest, isd + max(isd_a, isd_b))
+    return list(zip(alphas, resids))
 
 
 def double_rlpn_objective(R, tau, params):

@@ -291,6 +291,9 @@ def _cmd_survival(args):
                                 num_x=ec.get("num_x", "all"),
                                 seed=seed, grid=grid)
     n_samples = int(exp.meta["samples"])
+    if n_samples == 0:
+        raise ConfigError(f"{where['model']}: no pairs were drawn at seed "
+                          f"{seed}, and the model curves need at least one")
     shared = grid if grid is not None else exp.thresholds
     poi = poisson_survival(nparams, trials=trials, seed=seed,
                            n_samples=n_samples, grid=shared)

@@ -274,7 +274,7 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
     Draws partitions until the planted split matches the bet, builds one
     auxiliary code and sample set (honouring params.sample_budget), runs
     the transform, and counts candidates at or above each threshold with
-    the planted secret excluded.
+    the planted secret excluded.  With no pairs every candidate scores 0.
     """
     code, y, t = instance.code, instance.y, instance.t
     if instance.planted_e is None:
@@ -297,10 +297,6 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
         "pair_expectation": float(expected_pair_count(
             code.n, code.k, params.s, params.w, params.t_aux, params.k_aux)),
     }
-    if ss.count == 0:
-        thresholds = _threshold_grid([0.0], grid)
-        return SurvivalCurve("experimental", thresholds,
-                             np.zeros(thresholds.size), meta=meta)
     table = build_f(y, ss, aux.code.generator)
     scores = np.asarray(wht(table).values, dtype=np.int64)
     ep, _ = part.split(e)

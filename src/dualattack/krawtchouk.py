@@ -84,10 +84,12 @@ def h2_inv(v):
         return 0.0
     if v == 1:
         return 0.5
+    # h2 inlined: mid stays inside (0, 1/2), so its checks never fire
+    log2 = math.log2
     lo, hi = 0.0, 0.5
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
-        if h2(mid) < v:
+        if -mid * log2(mid) - (1 - mid) * log2(1 - mid) < v:
             lo = mid
         else:
             hi = mid

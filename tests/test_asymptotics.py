@@ -522,9 +522,11 @@ def _dumer_scalar(R, tau, levels=3, pts=33):
     return max(best, 0.0)
 
 
-def _drlpn_scalar(R, tau, sigma, R_aux, tau_aux, omega, mu, N_aux):
-    # reference for _drlpn_rows: alpha and residuals of one parameter row,
-    # every kappa value, grid search and sum taken on its own
+def _drlpn_terms(R, tau, sigma, R_aux, tau_aux, omega, mu, N_aux, dumer=_dumer_scalar):
+    # reference for the terms of _drlpn_rows at one parameter row, every
+    # kappa value, grid search and sum taken on its own: pi, the terms of
+    # alpha's max with the ISD term last, and the residuals.  dumer(R', tau')
+    # is the cost of each inner Dumer search
     omega_bar = omega / (1.0 - sigma)
     tau_bar = tau_aux / sigma
     d1 = min((tau - mu) / sigma, 1.0)
@@ -537,10 +539,10 @@ def _drlpn_scalar(R, tau, sigma, R_aux, tau_aux, omega, mu, N_aux):
         kappa_tilde(d2, omega_bar) - h2(omega_bar)
     )
     nu_cand = _candidate_full_scan(R, sigma, tau, mu, omega_bar, tau_bar)
-    isd_a = sigma * _dumer_scalar(max(1.0 - N_aux * R_aux / sigma, 0.0), min(d1, 0.5))
+    isd_a = sigma * dumer(max(1.0 - N_aux * R_aux / sigma, 0.0), min(d1, 0.5))
     nu_isd = max(A._ch2(sigma, tau - mu) - N_aux * R_aux, 0.0)
-    isd_b = nu_isd + (1.0 - sigma) * _dumer_scalar(max(Rp, 0.0), min(d2, 0.5))
-    alpha = pi + max(eq, nu_samples, R_aux, N_aux * nu_cand + max(isd_a, isd_b))
+    isd_b = nu_isd + (1.0 - sigma) * dumer(max(Rp, 0.0), min(d2, 0.5))
+    terms = [eq, nu_samples, R_aux, N_aux * nu_cand + max(isd_a, isd_b)]
     residuals = [
         sigma - R,
         (tau - sigma) - mu,
@@ -555,7 +557,46 @@ def _drlpn_scalar(R, tau, sigma, R_aux, tau_aux, omega, mu, N_aux):
         (A._ch2(1.0 - sigma, omega) + A._ch2(sigma, tau_aux)) - R,
         A._ch2(sigma, tau_aux) - (sigma - R_aux),
     ]
-    return alpha, residuals
+    return pi, terms, residuals
+
+
+def _drlpn_scalar(R, tau, *row):
+    # reference for _drlpn_rows: alpha and residuals of one parameter row
+    pi, terms, residuals = _drlpn_terms(R, tau, *row)
+    return pi + max(terms), residuals
+
+
+def _skip_margin(R, tau, row, N_aux):
+    # the ISD term with both Dumer searches at their cap, minus the largest
+    # other term: _drlpn_rows runs the Dumer grids for a row iff this is
+    # not negative
+    _, terms, _ = _drlpn_terms(R, tau, *row, N_aux, dumer=A._dumer_cap)
+    return terms[3] - max(terms[:3])
+
+
+# the argmin of double_rlpn_exponent(0.42, seed=5): (sigma, R_aux, omega, mu)
+_ARGMIN_042 = np.array([0.2701094808311346, 0.0882999450378294, 0.04337759867749123, 0.11494171650930196])
+
+
+def _skip_edge_rows():
+    # rows on both sides of the Dumer skip at R = 0.42: the frozen argmin,
+    # where the ISD term is below the others, moved by bisection along
+    # each direction to where its cap meets them.  The directions are ones
+    # along which the margin has no jump there: moving sigma or omega
+    # alone, it jumps across zero by 1e-5 or more
+    R = 0.42
+    tau = h2_inv(1.0 - R)
+    margin = lambda x: _skip_margin(R, tau, A._clip_box(x, R, tau), 1)  # noqa: E731
+    rows = []
+    for step in ([0, -0.01, 0, 0], [0, 0, 0, -0.01], [-0.01, -0.01, 0, 0], [0, -0.01, -0.005, 0],
+                 [0, 0, -0.005, -0.005], [-0.01, 0, 0, -0.005], [0.01, -0.02, 0, 0]):
+        lo, hi = _ARGMIN_042, _ARGMIN_042 + np.array(step)
+        assert margin(lo) < 0.0 <= margin(hi), step
+        for _ in range(40):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if margin(mid) < 0.0 else (lo, mid)
+        rows += [A._clip_box(lo, R, tau), A._clip_box(hi, R, tau)]
+    return R, tau, rows
 
 
 def test_batched_objective_matches_scalar_reference():
@@ -589,6 +630,53 @@ def test_batched_objective_matches_scalar_reference():
         checked += size
     assert checked >= 300
     assert min(seen.values()) >= 10, seen
+    # rows within 1e-6 of the skip, on both sides, alone and together
+    R, tau, rows = _skip_edge_rows()
+    margins = [_skip_margin(R, tau, row, 1) for row in rows]
+    assert [m < 0.0 for m in margins] == [True, False] * 7
+    assert max(map(abs, margins)) < 1e-6, margins
+    want = [_drlpn_scalar(R, tau, *row, 1) for row in rows]
+    assert A._drlpn_rows(R, tau, rows, 1) == want
+    assert [A._drlpn_rows(R, tau, [row], 1)[0] for row in rows] == want
+
+
+def test_dumer_cap_bounds_the_grids():
+    # the skip's bound is never below the search it stands for: random
+    # problems, tau' = 0, R' = 0 (N_aux R_aux >= sigma), omega' > 0 at
+    # lam = 0 (tau' > 1 - R'), tau' = 1/2 and R' near 1
+    rng = np.random.default_rng(31)
+    probs = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5)) for _ in range(300)]
+    probs += [(0.3, 0.0), (0.0, 0.0), (0.0, 0.11), (0.0, 0.5), (0.7, 0.4), (0.9, 0.2), (0.6, 0.5),
+              (0.5, 0.5), (1.0, 0.3), (1.0 - 1e-12, 0.25), (1e-12, 1e-12)]
+    assert sum(r + t > 1.0 for r, t in probs) >= 20
+    got = A._dumer_grids(probs, levels=3, pts=33)
+    for (r, t), (cost, _, _, _) in zip(probs, got):
+        assert cost <= A._dumer_cap(r, t), (r, t)
+    assert A._dumer_cap(0.3, 0.0) == 1e-9
+
+
+def test_dumer_grids_skipped_near_the_optimum(monkeypatch):
+    # rows around the R = 0.42 argmin, as the drill-downs visit them: most
+    # must skip the Dumer grids, alone and in batches, or the skip has
+    # silently stopped working
+    R = 0.42
+    tau = h2_inv(1.0 - R)
+    sent = []
+    grids = A._dumer_grids
+
+    def spy(problems, **kw):
+        sent.append(len(problems))
+        return grids(problems, **kw)
+
+    monkeypatch.setattr(A, "_dumer_grids", spy)
+    rng = np.random.default_rng(5)
+    rows = [A._clip_box(_ARGMIN_042 * (1.0 + rng.uniform(-2e-3, 2e-3, 4)), R, tau) for _ in range(40)]
+    A._drlpn_rows(R, tau, rows, 1)
+    assert sum(sent) < 2 * len(rows)
+    sent.clear()
+    for row in rows[:10]:
+        A._drlpn_rows(R, tau, [row], 1)
+    assert sum(sent) < 2 * 10
 
 
 def _rosen(x):

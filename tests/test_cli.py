@@ -231,6 +231,18 @@ def test_survival_unknown_section(tmp_path, capsys):
     assert "[plotting]" in capsys.readouterr().err
 
 
+def test_survival_without_pairs_names_model_and_writes_nothing(tmp_path, capsys):
+    # this instance draws no pairs at experiment seed 0
+    cfg = tmp_path / "surv.ini"
+    cfg.write_text("[experiment]\nseed = 0\ntrials = 20000\n\n[model]\nn = 18\nk = 9\nt = 2\n"
+                   "s = 6\nu = 1\nw = 1\nk_aux = 3\nt_aux = 1\n")
+    out = tmp_path / "curves.csv"
+    assert cli.run(["survival", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:5" in err and "no pairs" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "surv.ini"
     cfg.write_text(SURV_INI)

@@ -278,6 +278,8 @@ def test_experimental_survival_requires_plant():
 
 
 def test_experimental_survival_empty_pairs():
+    # with no pairs every wrong candidate scores 0: all 2^k_aux - 1 of
+    # them are at or above a threshold <= 0, and none above 0
     hit = False
     for seed in range(40):
         code = C.random_code(18, 9, seed=seed)
@@ -285,7 +287,11 @@ def test_experimental_survival_empty_pairs():
         p = DoubleRlpnParams(s=6, u=1, w=1, k_aux=3, t_aux=1)
         curve = DU.experimental_survival(inst, p, seed=seed)
         if curve.meta["samples"] == 0.0:
-            assert all(c == 0.0 for c in curve.counts)
+            assert list(curve.thresholds) == [0.0] and list(curve.counts) == [7.0]
+            curve = DU.experimental_survival(inst, p, seed=seed, grid=[-1.0, 0.0, 0.5, 3.0])
+            assert list(curve.counts) == [7.0, 7.0, 0.0, 0.0]
+            curve = DU.experimental_survival(inst, p, seed=seed, num_x=3)
+            assert list(curve.counts) == [7.0]
             hit = True
             break
     assert hit

@@ -108,6 +108,29 @@ def test_h2_inv_known_points():
     assert abs(KR.h2_inv(KR.h2(0.11)) - 0.11) < 1e-10
 
 
+def _h2_inv_reference(v):
+    # reference for h2_inv: the same bisection, calling h2 for the entropy
+    if v == 0:
+        return 0.0
+    if v == 1:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2
+        if KR.h2(mid) < v:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_h2_inv_matches_reference_bitwise():
+    rng = np.random.default_rng(8)
+    vs = rng.uniform(0.0, 1.0, 5000).tolist()
+    vs += [0.0, 1.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-16, KR.h2(0.11), KR.h2(0.25), KR.h2(0.5 - 1e-13)]
+    assert [KR.h2_inv(v) for v in vs] == [_h2_inv_reference(v) for v in vs]
+
+
 def test_kappa_at_zero_point_is_entropy():
     for om in [0.05, 0.1, 0.25, 0.4, 0.5]:
         assert abs(KR.kappa_tilde(0.0, om) - KR.h2(om)) < 1e-12
