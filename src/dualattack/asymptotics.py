@@ -2,17 +2,18 @@
 
 Every cost here is a base-2 runtime exponent normalized by block length:
 alpha means time 2^(alpha n (1 + o(1))) at rate R = k/n and relative
-decoding distance tau = t/n.  Baselines (Prange, Dumer, the two-level
-parity-check search) reduce to low-dimensional minimizations solved by
-nested grid refinement.  The dual-attack exponent couples a bet on the
-error split with parity-check production, an FFT over the auxiliary
-quotient, candidate filtering and two inner syndrome-decoding stages; it
-is minimized by penalized Nelder-Mead from many starts, and every
-reported point is re-verified against the full constraint list.  Its
-two inner Dumer searches run only where the ISD term can bind: a row
-whose ISD term, with each search replaced by a certified upper bound
-(the search's own cell at lam = 0), stays below the other terms gets
-alpha from those terms alone, the same float the full maximum gives.
+decoding distance tau = t/n.  Each decoder's cost is written once, over
+its cells (_prange_cost, _dumer_cells, the closure in _bjmm_min), and
+the Dumer and two-level parity-check searches share one nested-grid
+engine, _zoom_min.  The dual-attack exponent couples a bet on the error
+split with parity-check production, an FFT over the auxiliary quotient,
+candidate filtering and two inner syndrome-decoding stages; it is
+minimized by penalized Nelder-Mead from many starts, and every reported
+point is re-verified against the full constraint list.  Its two inner
+Dumer searches run only where the ISD term can bind: a row whose ISD
+term, with each search replaced by a certified upper bound (Prange's
+cost, the search's own cell at lam = 0), stays below the other terms
+gets alpha from those terms alone, the same float the full maximum gives.
 
 The Nelder-Mead here is a numpy port of scipy's, step for step, that
 advances all starts of a search phase together and evaluates the points
@@ -29,7 +30,7 @@ import math
 import os
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -85,8 +86,8 @@ class ExponentPoint:
     alpha: float
     argmin: AsymParams | None
     feasible: bool
-    constraint_residuals: list = field(default_factory=list)
-    algorithm: str = ""
+    constraint_residuals: list
+    algorithm: str
 
 
 def _ch2(c, x):
@@ -117,12 +118,17 @@ def _ch2v(c, x):
     return out
 
 
+def _prange_cost(R, tau):
+    # Prange's iteration exponent at (R, tau), and Dumer's cost at its cell
+    # lam = 0, omega' = max(R + tau - 1, 0), where the list terms cancel
+    return h2(tau) - _ch2(1.0 - R, tau - max(R + tau - 1.0, 0.0))
+
+
 def prange_exponent(R):
     """Information-set decoding exponent at Gilbert-Varshamov distance."""
     if not 0 < R < 1:
         raise DomainError("rate outside (0, 1)")
-    tau = h2_inv(1.0 - R)
-    return h2(tau) - (1.0 - R) * h2(tau / (1.0 - R))
+    return _prange_cost(R, h2_inv(1.0 - R))
 
 
 def _linspace(lo, hi, num):
@@ -138,50 +144,55 @@ def _linspace(lo, hi, num):
     return y
 
 
-def _dumer_grids(problems, levels=4, pts=65):
-    # nested grid refinement over (lam, s) with s the position of omega'
-    # inside its lam-dependent box, for every (R, tau) of problems in one
-    # stacked sweep; returns one (alpha, beta, lam, omega') per problem
-    out = [(0.0, 0.0, 0.0, 0.0)] * len(problems)
-    live = [i for i, (_, tau) in enumerate(problems) if tau > 0.0]
-    if not live:
-        return out
-    m, rows = len(live), np.arange(len(live))
-    R, tau, h_tau = np.array([problems[i] + (h2(problems[i][1]),) for i in live]).T[:, :, None, None]
-    # windows of lam, then of s, zoomed around each level's best cell
-    top = np.concatenate([1.0 - R[:, 0, 0], np.ones(m)])
-    lo, hi = np.zeros(2 * m), top
-    found = []  # per level: cost, list exponent, lam, omega' of its best cell
+def _zoom_min(cost, top, levels, pts):
+    # nested grid refinement of many problems at once: cost(a, b) is INF
+    # where a cell is infeasible, a (problems, pts, 1), b (problems, 1, pts).
+    # Windows start at [0, top] (a bounds, then b bounds) and zoom to the
+    # best cell +- 2.5 steps, until a level where no problem has a finite
+    # cell.  Returns rows of value, a and b: each problem's earliest lowest
+    m = top.size // 2
+    lo, hi, rows = np.zeros(2 * m), top, np.arange(2 * m)
+    found = []  # per level: the best cells' values, then their a and b
     for _ in range(levels):
-        ls = _linspace(lo, hi, pts)
-        lam, s = ls[:m, :, None], ls[m:, None, :]
-        rl = R + lam
-        wlo = np.maximum(rl + tau - 1.0, 0.0)
-        whi = np.minimum(tau, rl)
-        # both binomial exponents in one call: problems [0, m) the lists,
-        # [m, 2m) the complement
-        w = np.empty((2 * m, pts, pts))
-        wp = np.add(wlo, s * np.maximum(whi - wlo, 0.0), out=w[:m])
-        np.subtract(tau, wp, out=w[m:])
-        ch = _ch2v(np.concatenate([rl, 1.0 - R - lam]), w)
-        half = ch[:m] / 2.0
-        twice = 2.0 * half
-        pi = h_tau - ch[m:] - twice
-        cost = pi + np.maximum(half, twice - lam)
-        cost = np.where(whi + 1e-15 < wlo, INF, cost)
-        k = np.argmin(cost.reshape(m, -1), axis=1)
-        at = k + rows * (pts * pts)
-        c = ls[np.arange(2 * m), np.concatenate(np.divmod(k, pts))]
-        found.append((cost.take(at), half.take(at), c[:m], wp.take(at)))
+        ab = _linspace(lo, hi, pts)
+        v = cost(ab[:m, :, None], ab[m:, None, :]).reshape(m, pts * pts)
+        k = v.argmin(axis=1)
+        c = ab[rows, np.concatenate(np.divmod(k, pts))]
+        found.append(np.concatenate([v[rows[:m], k], c]))
+        if not np.isfinite(found[-1][:m]).any():
+            break
         d = 2.5 * ((hi - lo) / (pts - 1))
         lo, hi = np.maximum(0.0, c - d), np.minimum(top, c + d)
-    # the earliest level holding the lowest cost
     found = np.array(found)
-    best = found[np.argmin(found[:, 0], axis=0), :, rows]
-    for i, (c, hb, lb, wb) in zip(live, best.tolist()):
-        # rounding can leave a cost of order -1e-17 for a tiny positive tau
-        out[i] = (max(c, 0.0), hb, lb, wb)
-    return out
+    return found[np.argmin(found[:, :m], axis=0), np.arange(3 * m).reshape(3, m)]
+
+
+def _dumer_cells(R, tau, h_tau, lam, s):
+    # Dumer's (cost, list exponent, omega') at the cells (lam, s), s the
+    # position of omega' in its lam-dependent box; problems on the first axis
+    rl = R + lam
+    wlo = np.maximum(rl + tau - 1.0, 0.0)
+    whi = np.minimum(tau, rl)
+    # both binomial exponents in one call: the lists, then the complement
+    w = np.empty((2,) + np.broadcast_shapes(wlo.shape, s.shape))
+    wp = np.add(wlo, s * np.maximum(whi - wlo, 0.0), out=w[0])
+    np.subtract(tau, wp, out=w[1])
+    ch = _ch2v(np.stack([rl, 1.0 - R - lam]), w)
+    half = ch[0] / 2.0
+    twice = 2.0 * half
+    pi = h_tau - ch[1] - twice
+    cost = pi + np.maximum(half, twice - lam)
+    return np.where(whi + 1e-15 < wlo, INF, cost), half, wp
+
+
+def _dumer_grids(problems, levels=4, pts=65):
+    # Dumer's search for every (R, tau) of problems: arrays of cost, lam
+    # and s.  At tau = 0 every cell costs 0, and the cell (0, 0) is taken
+    R, tau, h_tau = np.array([(r, t, h2(t)) for r, t in problems]).reshape(-1, 3).T[:, :, None, None]
+    top = np.concatenate([1.0 - R[:, 0, 0], np.ones(len(problems))])
+    cost, lam, s = _zoom_min(lambda lam, s: _dumer_cells(R, tau, h_tau, lam, s)[0], top, levels, pts)
+    # rounding can leave a cost of order -1e-17 for a tiny positive tau
+    return np.maximum(cost, 0.0), lam, s
 
 
 def dumer_exponent(R, tau):
@@ -196,26 +207,20 @@ def dumer_exponent(R, tau):
         raise DomainError("rate outside (0, 1)")
     if not 0 <= tau <= 0.5:
         raise DomainError("tau outside [0, 1/2]")
-    if tau == 0.0:
-        return 0.0, 0.0, 0.0, {"lam": 0.0, "omega_prime": 0.0}
-    alpha, beta, lam, wp = _dumer_grids([(R, tau)])[0]
-    return alpha, beta, max(h2(tau) - (1.0 - R), 0.0), {"lam": lam, "omega_prime": wp}
+    alpha, lam, s = _dumer_grids([(R, tau)])
+    _, beta, wp = _dumer_cells(R, tau, h2(tau), lam, s)
+    nu_sol = max(h2(tau) - (1.0 - R), 0.0)
+    return alpha.item(), beta.item(), nu_sol, {"lam": lam.item(), "omega_prime": wp.item()}
 
 
-def _bjmm_min(lam, omega, levels=3, pts=65):
+def _bjmm_min(lam, omega, pts=65):
     # grid over (a, b) in [0,1]^2 with pi2 = omega/2 (1+a), pi1 = pi2/2 (1+b),
-    # zoomed for every (lam, omega) of the two 1-d arrays at once; a
-    # problem stops at the first level with no feasible cell, and one with
-    # omega = 0 costs nothing
-    m, run, alive = omega.size, np.where(omega <= 0.0, 0.0, INF), omega > 0.0
-    lam, omega = lam[:, None, None], omega[:, None, None]
+    # zoomed 3 levels for every (lam, omega) of the two 1-d arrays at once;
+    # a problem with omega = 0 costs nothing
+    m, lam, omega = omega.size, lam[:, None, None], omega[:, None, None]
     half_om, co_om, lam_tol = omega / 2.0, 1.0 - omega, lam + 1e-12
-    lo, hi, rows = np.zeros(2 * m), np.ones(2 * m), np.arange(2 * m)  # a windows, then b
-    for _ in range(levels):
-        if not alive.any():
-            break
-        ab = _linspace(lo, hi, pts)
-        a, b = ab[:m, :, None], ab[m:, None, :]
+
+    def cost(a, b):
         pi2 = half_om * (1.0 + a)
         half2, rest2 = pi2 / 2.0, 1.0 - pi2
         # every entropy in one call: [representation ratio, weight] of the
@@ -237,15 +242,9 @@ def _bjmm_min(lam, omega, levels=3, pts=65):
         g = np.maximum(g, np.maximum(nu1, 2 * nu1 - (lam2 - lam1)))
         g = np.maximum(g, np.maximum(nu2, 2 * nu2 - (lam - lam2)))
         feas = (lam1 <= lam2 + 1e-12) & (lam2 <= lam_tol) & np.isfinite(g)
-        g = np.where(feas, g, INF).reshape(m, -1)
-        k = g.argmin(axis=1)
-        gk = g.min(axis=1)
-        run = np.where(alive & (gk < run), gk, run)
-        alive &= gk < INF
-        c = ab[rows, np.concatenate(np.divmod(k, pts))]
-        d = 2.5 * ((hi - lo) / (pts - 1))
-        lo, hi = np.maximum(0.0, c - d), np.minimum(1.0, c + d)
-    return run
+        return np.where(feas, g, INF)
+
+    return np.where(omega[:, 0, 0] <= 0.0, 0.0, _zoom_min(cost, np.ones(2 * m), 3, pts)[0])
 
 
 def bjmm_eq_exponent(Rprime, omega):
@@ -314,22 +313,14 @@ def _candidate_exponent(R, sigma, anchor, om, h_om, perp):
         h, q = _h2v(grid), p
 
 
-def _dumer_cap(Rp, taup):
-    # certified upper bound on _dumer_grids at (Rp, taup): the cost of its
-    # level-0 cell at lam = 0, omega' = max(Rp + taup - 1, 0), which the
-    # grid evaluates exactly and where the list terms cancel, plus 1e-9
-    # for the grid's rounding (taup = 0 gives 1e-9, above the grid's 0)
-    return h2(taup) - _ch2(1.0 - Rp, taup - max(Rp + taup - 1.0, 0.0)) + 1e-9
-
-
 def _drlpn_rows(R, tau, rows, N_aux):
     # (alpha, residuals as RESIDUAL_LABELS, positive if violated) of each
     # (sigma, R_aux, tau_aux, omega, mu) row.  Per-row terms stay in math,
     # whose log2 can differ from np.log2 in the last bit; the three grid
     # minimizations run once over all rows.  A row whose ISD term cannot
-    # bind, even with each Dumer search at its _dumer_cap, skips the Dumer
-    # grids: alpha is then pi + max(eq, nu_samples, R_aux), the same float
-    # the full max gives, since every term is monotone in the grid values
+    # bind, even with each Dumer search at its cell (0, 0) plus 1e-9 for
+    # rounding, skips the Dumer grids: by monotony alpha is then pi +
+    # max(eq, nu_samples, R_aux), the same float the full max gives
     h_tau = h2(tau)
     glue, eps, probs = [], [], []
     for sigma, R_aux, tau_aux, omega, mu in rows:
@@ -360,15 +351,16 @@ def _drlpn_rows(R, tau, rows, N_aux):
         nu_isd = max(bet - N_aux * R_aux, 0.0)
         rest = max(eq, nu_samples, R_aux)
         (pa, pb), isd = probs[i], N_aux * cand[i]
-        if not isd + max(sigma * _dumer_cap(*pa), nu_isd + (1.0 - sigma) * _dumer_cap(*pb)) < rest:
+        cap_a, cap_b = _prange_cost(*pa) + 1e-9, _prange_cost(*pb) + 1e-9
+        if not isd + max(sigma * cap_a, nu_isd + (1.0 - sigma) * cap_b) < rest:
             need.append((i, sigma, pi, rest, isd, nu_isd))
         alphas.append(pi + rest)
         resids.append([sigma - R, (tau - sigma) - mu, mu - tau, omega - (1.0 - sigma), -sigma, -R_aux, -tau_aux,
                        -omega, -mu, (-2.0 * eps_bias) - nu_samples, checks - R, aux - (sigma - R_aux)])
-    grids = iter(_dumer_grids([p for i, *_ in need for p in probs[i]], levels=3, pts=33))
+    grids = iter(_dumer_grids([p for i, *_ in need for p in probs[i]], levels=3, pts=33)[0].tolist())
     for i, sigma, pi, rest, isd, nu_isd in need:
-        isd_a = sigma * next(grids)[0]
-        isd_b = nu_isd + (1.0 - sigma) * next(grids)[0]
+        isd_a = sigma * next(grids)
+        isd_b = nu_isd + (1.0 - sigma) * next(grids)
         alphas[i] = pi + max(rest, isd + max(isd_a, isd_b))
     return list(zip(alphas, resids))
 

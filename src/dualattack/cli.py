@@ -35,8 +35,9 @@ from . import asymptotics
 from .asymptotics import ALGORITHMS, exponent_curve
 from .codes import DecodingInstance, draw_partition, random_code
 from .decoder import DoubleRlpnParams, double_rlpn
-from .duality import (ModelParams, duality_check, experimental_survival,
-                      independence_survival, poisson_survival)
+from .duality import (MIN_POISSON_TRIALS, ModelParams, duality_check,
+                      experimental_survival, independence_survival,
+                      poisson_survival)
 from .errors import (BudgetExceeded, ConfigError, DomainError,
                      DualAttackError, EmptySamples)
 from .krawtchouk import krawtchouk_exact
@@ -269,6 +270,9 @@ def _cmd_survival(args):
     mc, ec = cfg["model"], cfg.get("experiment", {})
     seed = ec.get("seed", 0)
     trials = ec.get("trials", 10 ** 5)
+    if trials < MIN_POISSON_TRIALS:
+        raise ConfigError(f"{where['experiment']}: trials must be at least "
+                          f"{MIN_POISSON_TRIALS} for the Poisson model")
     grid = None
     if "grid" in cfg:
         gc = cfg["grid"]

@@ -26,6 +26,7 @@ from .samples import AuxCode, build_sample_set, expected_pair_count
 CURVE_LABELS = ("experimental", "poisson", "independence")
 
 _CHUNK = 4096
+MIN_POISSON_TRIALS = 10 ** 4
 
 
 class ModelParams:
@@ -222,8 +223,8 @@ def poisson_survival(nparams, trials=10 ** 5, seed=0, n_samples=None,
                      grid=None):
     """Survival curve of the Poisson counting model, scaled to the
     expected number of candidates out of 2^k_aux."""
-    if trials < 10 ** 4:
-        raise DomainError("need at least 10^4 trials")
+    if trials < MIN_POISSON_TRIALS:
+        raise DomainError(f"need at least {MIN_POISSON_TRIALS} trials")
     stats = np.sort(poisson_statistics(nparams, trials, seed=seed,
                                        n_samples=n_samples))
     meta = {

@@ -71,6 +71,17 @@ def test_prange_frozen_endpoints():
     assert abs(A.prange_exponent(0.98) - 0.010910) < 1e-5
 
 
+def _prange_closed_form(R):
+    # reference for prange_exponent: (1 - R) h2(tau / (1 - R)) written out
+    tau = h2_inv(1.0 - R)
+    return h2(tau) - (1.0 - R) * h2(tau / (1.0 - R))
+
+
+def test_prange_matches_closed_form_bitwise():
+    for R in np.linspace(0.0005, 0.9995, 2000).tolist():
+        assert A.prange_exponent(R).hex() == _prange_closed_form(R).hex(), R
+
+
 def test_prange_domain():
     for r in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(DomainError):
@@ -121,12 +132,13 @@ def test_linspace_matches_numpy_bitwise():
 
 
 def test_dumer_grids_problems_do_not_interact():
+    # rows of cost, lam and s; at tau = 0 every cell costs 0 and (0, 0) wins
     probs = [(0.5, 0.11), (0.3, 0.0), (0.2, 0.25), (0.7, 0.05), (1e-9, 0.3)]
-    together = A._dumer_grids(probs, levels=3, pts=33)
-    alone = [A._dumer_grids([p], levels=3, pts=33)[0] for p in probs]
-    assert together == alone
-    assert [c[0] for c in together] == [_dumer_scalar(*p) for p in probs]
-    assert together[1] == (0.0, 0.0, 0.0, 0.0)
+    together = np.array(A._dumer_grids(probs, levels=3, pts=33))
+    alone = np.hstack([A._dumer_grids([p], levels=3, pts=33) for p in probs])
+    assert together.tobytes() == alone.tobytes()
+    assert together[0].tolist() == [_dumer_scalar(*p) for p in probs]
+    assert together[:, 1].tolist() == [0.0, 0.0, 0.0]
 
 
 def _kappa_many(t, omega):
@@ -476,6 +488,33 @@ def _bjmm_scalar(lam, omega, levels=3, pts=65):
     return best
 
 
+def test_bjmm_min_problems_do_not_interact():
+    # problems searched together carry the bits of each searched alone and
+    # of the one-problem reference, which stops a problem at its first
+    # level without a feasible cell: omega = 0, problems with no feasible
+    # cell at level 0 (omega > lam, as at (0.1, 0.3)), and a batch where
+    # every problem is infeasible, which ends the zoom after one level
+    rng = np.random.default_rng(41)
+    lam = rng.uniform(0.0, 1.0, 210)
+    omega = rng.uniform(0.0, 0.6, 210)
+    omega[::17] = 0.0
+    lam[5::23] = rng.uniform(0.0, 0.05, lam[5::23].size)
+    lam[0], omega[0] = 0.1, 0.3
+    infeasible = [(0.1, 0.3), (0.0, 0.2), (0.05, 0.5)]
+    for pts in (33, 65):
+        want = [_bjmm_scalar(a, b, pts=pts) for a, b in zip(lam, omega)]
+        assert sum(map(math.isinf, want)) >= 20 and want.count(0.0) >= 10
+        assert A._bjmm_min(lam, omega, pts=pts).tolist() == want
+        alone = [A._bjmm_min(lam[i:i + 1], omega[i:i + 1], pts=pts)[0] for i in range(lam.size)]
+        assert alone == want
+        levels, linspace = [], A._linspace
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(A, "_linspace", lambda *args: levels.append(1) or linspace(*args))
+            got = A._bjmm_min(*np.array(infeasible).T, pts=pts)
+        assert got.tolist() == [_bjmm_scalar(a, b, pts=pts) for a, b in infeasible] == [math.inf] * 3
+        assert len(levels) == 1
+
+
 def _ch2v_reference(c, x):
     # c h2(x/c), 0 where x/c leaves (0, 1), as one expression
     m = (c > 1e-15) & (x > 0.0) & (x < c)
@@ -566,11 +605,16 @@ def _drlpn_scalar(R, tau, *row):
     return pi + max(terms), residuals
 
 
+def _dumer_cap(Rp, taup):
+    # the skip's bound on a Dumer search: Prange's cost plus the rounding
+    return A._prange_cost(Rp, taup) + 1e-9
+
+
 def _skip_margin(R, tau, row, N_aux):
     # the ISD term with both Dumer searches at their cap, minus the largest
     # other term: _drlpn_rows runs the Dumer grids for a row iff this is
     # not negative
-    _, terms, _ = _drlpn_terms(R, tau, *row, N_aux, dumer=A._dumer_cap)
+    _, terms, _ = _drlpn_terms(R, tau, *row, N_aux, dumer=_dumer_cap)
     return terms[3] - max(terms[:3])
 
 
@@ -643,16 +687,20 @@ def test_batched_objective_matches_scalar_reference():
 def test_dumer_cap_bounds_the_grids():
     # the skip's bound is never below the search it stands for: random
     # problems, tau' = 0, R' = 0 (N_aux R_aux >= sigma), omega' > 0 at
-    # lam = 0 (tau' > 1 - R'), tau' = 1/2 and R' near 1
+    # lam = 0 (tau' > 1 - R'), tau' = 1/2 and R' near 1.  Prange's cost is
+    # the search's own cell (lam, s) = (0, 0), up to rounding
     rng = np.random.default_rng(31)
     probs = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5)) for _ in range(300)]
     probs += [(0.3, 0.0), (0.0, 0.0), (0.0, 0.11), (0.0, 0.5), (0.7, 0.4), (0.9, 0.2), (0.6, 0.5),
               (0.5, 0.5), (1.0, 0.3), (1.0 - 1e-12, 0.25), (1e-12, 1e-12)]
     assert sum(r + t > 1.0 for r, t in probs) >= 20
-    got = A._dumer_grids(probs, levels=3, pts=33)
-    for (r, t), (cost, _, _, _) in zip(probs, got):
-        assert cost <= A._dumer_cap(r, t), (r, t)
-    assert A._dumer_cap(0.3, 0.0) == 1e-9
+    got = A._dumer_grids(probs, levels=3, pts=33)[0]
+    corner = np.zeros(1)
+    for (r, t), cost in zip(probs, got.tolist()):
+        assert cost <= _dumer_cap(r, t), (r, t)
+        cell = A._dumer_cells(r, t, h2(t), corner, corner)[0].item()
+        assert abs(A._prange_cost(r, t) - cell) <= 1e-12, (r, t)
+    assert _dumer_cap(0.3, 0.0) == 1e-9
 
 
 def test_dumer_grids_skipped_near_the_optimum(monkeypatch):

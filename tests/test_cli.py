@@ -243,6 +243,21 @@ def test_survival_without_pairs_names_model_and_writes_nothing(tmp_path, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
 
 
+def test_survival_too_few_trials_names_experiment_before_any_draw(tmp_path, capsys, monkeypatch):
+    # the Poisson model's floor is checked before the experiment runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "experimental_survival", refuse)
+    cfg = tmp_path / "surv.ini"
+    cfg.write_text(SURV_INI.replace("trials = 20000", "trials = 9999"))
+    out = tmp_path / "curves.csv"
+    assert cli.run(["survival", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:11" in err and "10000" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "surv.ini"
     cfg.write_text(SURV_INI)
