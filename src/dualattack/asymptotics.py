@@ -14,16 +14,21 @@ Dumer searches run only where the ISD term can bind: a row whose ISD
 term, with each search replaced by a certified upper bound (Prange's
 cost, the search's own cell at lam = 0), stays below the other terms
 gets alpha from those terms alone, the same float the full maximum gives.
+The candidate term scans its grid by rows: a row's admissible columns are
+a prefix of the columns by falling kappa, so its best cell comes from a
+binary search and a running maximum instead of a pass over every cell.
 
 The Nelder-Mead here is a numpy port of scipy's, step for step, that
 advances all starts of a search phase together and evaluates the points
 they ask for in one batched objective call, so scipy.optimize is not
 needed.  The starts never interact, so on a machine with two or more
-cores each phase splits them into two fixed groups of about equal
-summed evaluation budget: a worker process forked once per exponent
-point runs one group while the calling process runs the other, and the
-results are put back in start order.  Every reported point is the same,
-bit for bit, as with both groups run in one process.
+cores each phase splits them into two fixed groups: a worker process
+forked once per exponent point runs half of the 24 cells, then the four
+refinements alone (the longest chains, which the serial drill-downs
+wait for; at most half the chains), while the calling process runs the
+other cells, then the seeded starts; the results are put back in start
+order.  Every reported point is the same, bit for bit, as with both
+groups run in one process.
 """
 
 import math
@@ -276,41 +281,45 @@ def _candidate_exponent(R, sigma, anchor, om, h_om, perp):
     # (tau_bar) and the complement (omega_bar); a zero weight gives kappa 0
     m = sigma.size
     p = np.arange(m)[:, None]
-    best = np.zeros(m)
     thr = (anchor - 1e-12)[:, None]
-    om, h_om, perp = om[:, :, None], h_om[:, :, None], perp[:, :, None]
+    zero, om, h_om, perp = om[:, :, None] == 0, om[:, :, None], h_om[:, :, None], perp[:, :, None]
     sig, cosig = sigma[:, None], (1.0 - sigma)[:, None]
     # level 0 shares one grid; each level's grid stays inside [0, 1/2],
     # where min(t, 1 - t) is t
-    grid, h, q = _HALF_T, _HALF_H2, 0  # q picks each problem's grid row
-    for level in range(2):
-        kk = np.where(om == 0, 0.0, _kappa_grid(grid, om, h_om, perp, h))
-        ka = sig * kk[:, 0]
-        kb = cosig * kk[:, 1]
-        # a rounded sum is monotone in each term, so row i holds an
-        # admissible cell iff it does at the largest kb, and likewise for
-        # columns: only admissible rows and columns are scanned, each
-        # problem's in grid order and padded to the longest list
-        rmask = ka + np.maximum.reduce(kb, axis=1, keepdims=True) >= thr
-        cmask = np.maximum.reduce(ka, axis=1, keepdims=True) + kb >= thr
-        nr = np.add.reduce(rmask, axis=1)
-        ri = np.argsort(~rmask, axis=1, kind="stable")[:, : max(nr.max(), 1)]
-        ci = np.argsort(~cmask, axis=1, kind="stable")[:, : max(np.add.reduce(cmask, axis=1).max(), 1)]
-        obj = (sig * h[q, 0, ri])[:, :, None] + (cosig * h[q, 1, ci])[:, None, :] - (1.0 - R)
-        # padding cells fail the test, their row or column being inadmissible
-        adm = ka[p, ri][:, :, None] + kb[p, ci][:, None, :] >= thr[:, :, None]
-        vals = np.where(adm, obj, -INF).reshape(m, -1)
-        k, v = vals.argmax(axis=1), vals.max(axis=1)
+    grid, h = _HALF_T, _HALF_H2
+    for level, n in enumerate((129, 33)):
+        kk = np.where(zero, 0.0, _kappa_grid(grid, om, h_om, perp, h))
+        ka, kb = sig * kk[:, 0], cosig * kk[:, 1]
+        a, b = sig * h[:, 0], cosig * h[:, 1]
+        # a rounded sum is monotone in each term, so row i's admissible
+        # columns are the first t by falling kb, and its best cell is its
+        # term plus the largest column term among them.  Each problem's
+        # row of the two tables holds, at t, kb of the t-th such column and
+        # the largest b of the first t, with -INF at 0 and past n; at, the
+        # flat index of each row's t, is found by a fixed-step binary search
+        bits = n.bit_length()
+        order = np.argsort(-kb, axis=1) + p * n
+        tab = np.full((2, m, 1 << bits), -INF)
+        tab[0, :, 1 : n + 1] = kb.take(order)
+        np.maximum.accumulate(b.take(order), axis=1, out=tab[1, :, 1 : n + 1])
+        skb, top = tab.reshape(2, -1)
+        at = (p << bits).repeat(ka.shape[1], axis=1)
+        for e in range(bits - 1, -1, -1):
+            np.add(at, 1 << e, out=at, where=ka + skb[1 << e :].take(at) >= thr)
+        rv = (a + top.take(at)) - (1.0 - R)
+        v = rv.max(axis=1)
         if level:
             # a problem without an admissible cell at level 0 stops there
             return np.where(alive & (v > best), v, best)
-        best = np.where(v > best, v, best)
-        alive = nr > 0
-        i, j = np.divmod(k, ci.shape[1])
-        c = np.concatenate([_HALF_GRID[ri[p[:, 0], i]], _HALF_GRID[ci[p[:, 0], j]]])
+        best, alive = np.where(v > 0.0, v, 0.0), v > -INF
+        # zoom on the full scan's first best cell in grid order: the first
+        # best row, and its first admissible column reaching the value
+        i = rv.argmax(axis=1)[:, None]
+        j = ((ka[p, i] + kb >= thr) & ((a[p, i] + b) - (1.0 - R) == v[:, None])).argmax(axis=1)
+        c = _HALF_GRID[np.hstack([i, j[:, None]])].ravel()
         lo, hi = np.maximum(0.0, c - _HALF_ZOOM), np.minimum(0.5, c + _HALF_ZOOM)
-        grid = _linspace(lo, hi, 33).reshape(2, m, 33).transpose(1, 0, 2).copy()
-        h, q = _h2v(grid), p
+        grid = _linspace(lo, hi, 33).reshape(m, 2, 33)
+        h = _h2v(grid)
 
 
 def _drlpn_rows(R, tau, rows, N_aux):
@@ -357,7 +366,8 @@ def _drlpn_rows(R, tau, rows, N_aux):
         alphas.append(pi + rest)
         resids.append([sigma - R, (tau - sigma) - mu, mu - tau, omega - (1.0 - sigma), -sigma, -R_aux, -tau_aux,
                        -omega, -mu, (-2.0 * eps_bias) - nu_samples, checks - R, aux - (sigma - R_aux)])
-    grids = iter(_dumer_grids([p for i, *_ in need for p in probs[i]], levels=3, pts=33)[0].tolist())
+    if need:
+        grids = iter(_dumer_grids([p for i, *_ in need for p in probs[i]], levels=3, pts=33)[0].tolist())
     for i, sigma, pi, rest, isd, nu_isd in need:
         isd_a = sigma * next(grids)
         isd_b = nu_isd + (1.0 - sigma) * next(grids)
@@ -537,14 +547,11 @@ def _worker():
     return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
 
 
-def _run_split(pool, R, tau, N_aux, prefix, specs):
-    # _run_chains over specs, the leading chains whose maxfev sums to at
-    # most half the total run by the pool's worker while this process
-    # runs the others; results in the order of specs
+def _run_split(pool, R, tau, N_aux, prefix, specs, cut):
+    # _run_chains over specs, the first cut chains run by the pool's worker
+    # while this process runs the others; results in the order of specs
     if pool is None:
         return _run_chains(R, tau, N_aux, prefix, specs)
-    fev = np.cumsum([spec[1] for spec in specs])
-    cut = int(np.searchsorted(fev, fev[-1] / 2.0, side="right"))
     head, tail = (None, None) if prefix is None else (prefix[:cut], prefix[cut:])
     far = pool.submit(_run_chains, R, tau, N_aux, head, specs[:cut])
     near = _run_chains(R, tau, N_aux, tail, specs[cut:])
@@ -582,11 +589,14 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
     cells = np.array(cells)
     with _worker() as pool:
         ends = _run_split(pool, R, tau, N_aux, cells[:, :2],
-                          [(s, 110, 1e-7, 1e-10, False) for s in _simplex(cells[:, 2:])])
+                          [(s, 110, 1e-7, 1e-10, False) for s in _simplex(cells[:, 2:])], len(cells) // 2)
         ranked = sorted(((fs.min(), np.concatenate([c[:2], s[0]])) for c, (s, fs, _) in zip(cells, ends)),
                         key=lambda r: r[0])
 
-        # refine the best cells in 4-d; seeded random starts run beside them
+        # refine the best cells in 4-d; seeded random starts run beside them.
+        # The refinements run longest and lead into the serial drill-downs,
+        # so the worker runs them alone (at most half the chains) and this
+        # process the seeded starts
         top = np.array([x0 for _, x0 in ranked[:4]])
         specs = [(s, 1400, 1e-10, 1e-13, True) for s in _simplex(top)]
         rng = np.random.default_rng([seed, int(round(R * 1e9)), int(round(tau * 1e9)), N_aux])
@@ -599,14 +609,14 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
             mu = lo + (tau - lo) * (0.3 + 0.7 * rng.random())
             starts.append([sig, R_aux, omega, mu])
         specs += [(s, 200, 1e-8, 1e-11, False) for s in _simplex(np.array(starts).reshape(-1, 4))]
-        ends = _run_split(pool, R, tau, N_aux, None, specs)
+        ends = _run_split(pool, R, tau, N_aux, None, specs, min(len(top), len(specs) // 2))
 
     best_feas = None
     best_any = None
 
-    def consider(x):
+    def consider(x, got):
+        # got is exact(x)
         nonlocal best_feas, best_any
-        got = exact(x)
         alpha, residuals, vec = got
         worst = max(residuals)
         if best_any is None or alpha < best_any[0]:
@@ -616,15 +626,19 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
         if worst <= 1e-9 and (best_feas is None or alpha < best_feas[0]):
             best_feas = (alpha, residuals, vec, np.asarray(x, dtype=np.float64))
 
-    for sim, _, _ in ends:
-        consider(sim[0])
+    # the chain ends' first exact checks in one objective call
+    xs = [sim[0] for sim, _, _ in ends]
+    vecs = [_clip_box(x, R, tau) for x in xs]
+    for x, vec, got in zip(xs, vecs, _drlpn_rows(R, tau, vecs, N_aux)):
+        consider(x, (*got, vec))
 
     # drill into the best basin with shrinking simplexes
     if best_feas is not None:
         for radius in (2e-3, 1e-4):
             x0 = best_feas[3]
             simplex = np.vstack([x0] + [x0 + radius * e for e in np.eye(4)])
-            consider(_run_chains(R, tau, N_aux, None, [(simplex, 800, 1e-11, 1e-14, True)])[0][0][0])
+            x = _run_chains(R, tau, N_aux, None, [(simplex, 800, 1e-11, 1e-14, True)])[0][0][0]
+            consider(x, exact(x))
 
     alpha, residuals, vec = (best_feas or best_any)[:3]
     return ExponentPoint(

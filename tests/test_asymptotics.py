@@ -2,8 +2,9 @@ import math
 import multiprocessing
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,10 +52,24 @@ def extremes():
 
 
 @pytest.fixture(scope="module")
-def drlpn_042():
-    # the default 64 restarts, so seeded random starts run too
-    with _cores(2):
-        return A.double_rlpn_exponent(0.42, seed=5)
+def drlpn_042_run():
+    # the default 64 restarts, so seeded random starts run too; with the
+    # objective rows this process evaluated for the point
+    rows = []
+    objective = A._drlpn_rows
+
+    def recording(R, tau, batch, N_aux):
+        rows.extend(batch)
+        return objective(R, tau, batch, N_aux)
+
+    with _cores(2), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_drlpn_rows", recording)
+        return A.double_rlpn_exponent(0.42, seed=5), rows
+
+
+@pytest.fixture(scope="module")
+def drlpn_042(drlpn_042_run):
+    return drlpn_042_run[0]
 
 
 def test_prange_max_location():
@@ -189,8 +204,8 @@ def _candidate_inputs(problems):
 
 
 def test_candidate_scan_matches_full_grid():
-    # scanning only admissible rows and columns, many problems at once,
-    # must give the bits of the full scan of each problem alone
+    # scanning each row's admissible prefix of sorted columns, many
+    # problems at once, must give the bits of the full scan of each alone
     rng = np.random.default_rng(11)
     for batch in range(30):
         R = rng.uniform(0.05, 0.95)
@@ -205,6 +220,127 @@ def test_candidate_scan_matches_full_grid():
             problems.append((R, sigma, tau, mu, omega_bar, tau_bar))
         got = A._candidate_exponent(*_candidate_inputs(problems))
         assert got.tolist() == [_candidate_full_scan(*p) for p in problems], problems
+
+
+def _random_candidate_problems(rng, R, count):
+    # (R, sigma, tau, mu, omega_bar, tau_bar) at the GV distance of R
+    tau = h2_inv(1.0 - R)
+    problems = []
+    for _ in range(count):
+        sigma = R * rng.uniform(0.05, 1.0)
+        mu = rng.uniform(max(0.0, tau - sigma), min(tau, 1.0 - sigma))
+        problems.append((R, sigma, tau, mu, rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)))
+    return problems
+
+
+def test_candidate_scan_without_admissible_cells():
+    # an anchor above every cell's kappa sum leaves a problem no admissible
+    # cell and the value 0, alone or beside problems that have some
+    problems = _random_candidate_problems(np.random.default_rng(3), 0.9, 10)
+    R, sig, anchor, om, h_om, perp = _candidate_inputs(problems)
+    live = A._candidate_exponent(R, sig, anchor, om, h_om, perp)
+    assert live.tolist() == [_candidate_full_scan(*p) for p in problems]
+    assert (live[::2] > 0.0).sum() >= 2 and (live[1::2] > 0.0).sum() >= 2
+    dead = A._candidate_exponent(R, sig, anchor + 2.0, om, h_om, perp)
+    assert dead.tobytes() == np.zeros(10).tobytes()
+    odd = np.arange(10) % 2 == 1
+    mixed = A._candidate_exponent(R, sig, np.where(odd, anchor, anchor + 2.0), om, h_om, perp)
+    assert mixed.tobytes() == np.where(odd, live, 0.0).tobytes()
+
+
+def _anchor(sigma, tau, mu, omega_bar, tau_bar):
+    # the planted cell's kappa sum, as _candidate_full_scan computes it
+    d1 = min((tau - mu) / sigma, 1.0)
+    d2 = min(mu / (1.0 - sigma), 1.0)
+    return sigma * kappa_tilde(d1, tau_bar) + (1.0 - sigma) * kappa_tilde(d2, omega_bar)
+
+
+def test_candidate_scan_anchor_at_the_best_cell():
+    # a cell is admissible iff its kappa sum reaches anchor - 1e-12.  Take
+    # the best level-0 cell at some anchor, and move the anchor (by
+    # bisecting tau, which it falls with) onto that cell's kappa sum and
+    # onto the sum plus 1e-12, where the last bit decides admissibility
+    rng = np.random.default_rng(17)
+    R, grid = 0.42, np.linspace(0.0, 0.5, 129)
+    h = A._h2v(grid)
+    problems, gaps, edge = [], [], []
+    while len(problems) < 48:
+        sigma = R * rng.uniform(0.2, 1.0)
+        mu = (1.0 - sigma) * rng.uniform(0.0, 0.3)
+        omega_bar, tau_bar = rng.uniform(0.01, 0.5, 2)
+        kappa = sigma * _kappa_many(grid, tau_bar)[:, None] + (1.0 - sigma) * _kappa_many(grid, omega_bar)[None, :]
+        start = _anchor(sigma, mu + sigma * rng.uniform(0.0, 0.5), mu, omega_bar, tau_bar)
+        vals = np.where(kappa >= start - 1e-12, sigma * h[:, None] + (1.0 - sigma) * h[None, :], -np.inf)
+        best = kappa.flat[np.argmax(vals)]
+        # the anchor at or above the cell's sum, then the cell inadmissible
+        for on_edge, above in enumerate((lambda x: x >= best, lambda x: x - 1e-12 > best)):
+            at = partial(_anchor, sigma, mu=mu, omega_bar=omega_bar, tau_bar=tau_bar)
+            lo, hi = mu, mu + sigma / 2.0
+            if not above(at(lo)) or above(at(hi)):
+                continue
+            while lo < (lo + hi) / 2.0 < hi:
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if above(at(mid)) else (lo, mid)
+            for side, tau in enumerate((lo, hi)):
+                anchor = at(tau)
+                problems.append((R, sigma, tau, mu, omega_bar, tau_bar))
+                gaps.append(anchor - best)
+                edge.append((on_edge, side, bool(best >= anchor - 1e-12)))
+    assert max(abs(g) for g in gaps) < 1e-12 + 1e-14
+    # the cell is admissible at its own kappa sum, and each edge pair
+    # falls on both sides of the test
+    assert {(on_edge, side) for on_edge, side, _ in edge} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert all(admissible == (not on_edge or side == 1) for on_edge, side, admissible in edge)
+    got = A._candidate_exponent(*_candidate_inputs(problems))
+    assert got.tolist() == [_candidate_full_scan(*p) for p in problems]
+    alone = [A._candidate_exponent(*_candidate_inputs([p])) for p in problems]
+    assert got.tobytes() == np.concatenate(alone).tobytes()
+
+
+def test_candidate_scan_on_recorded_rows(drlpn_042_run):
+    # objective rows this process evaluated for double_rlpn_exponent(0.42,
+    # seed=5): batches of 40 and 4 carry the bits of each row alone, and
+    # of the full scan
+    R, tau = 0.42, h2_inv(1.0 - 0.42)
+    rows = sorted(set(drlpn_042_run[1]))[::20][:400]
+    assert len(rows) == 400
+    problems = [(R, sigma, tau, mu, omega / (1.0 - sigma), tau_aux / sigma)
+                for sigma, R_aux, tau_aux, omega, mu in rows]
+    got = {size: np.concatenate([A._candidate_exponent(*_candidate_inputs(problems[i : i + size]))
+                                 for i in range(0, len(problems), size)])
+           for size in (1, 4, 40)}
+    assert got[40].tobytes() == got[4].tobytes() == got[1].tobytes()
+    assert got[1].tolist() == [_candidate_full_scan(*p) for p in problems]
+
+
+def test_run_split_cuts(monkeypatch):
+    # the worker runs 12 of the 24 cells, then the 4 refinements alone;
+    # this process runs the other 12 cells, then the seeded starts.  With
+    # no seeded starts, each runs 2 refinements
+    ran = []
+
+    def chains(R, tau, N_aux, prefix, specs):
+        ran.append((None if prefix is None else len(prefix), [spec[1] for spec in specs]))
+        return [(spec[0], np.zeros(len(spec[0])), 0) for spec in specs]
+
+    class Pool:
+        submitted = []
+
+        def submit(self, fn, *args):
+            self.submitted.append([spec[1] for spec in args[-1]])
+            done = fn(*args)
+            return SimpleNamespace(result=lambda: done)
+
+    monkeypatch.setattr(A, "_run_chains", chains)
+    monkeypatch.setattr(A, "_worker", lambda: nullcontext(Pool()))
+    A.double_rlpn_exponent(0.42, seed=5)
+    assert Pool.submitted == [[110] * 12, [1400] * 4]
+    assert ran[:4] == [(12, [110] * 12), (12, [110] * 12), (None, [1400] * 4), (None, [200] * 36)]
+    assert all(maxfevs == [800] for _, maxfevs in ran[4:])
+    Pool.submitted.clear()
+    with _restarts(20):
+        A.double_rlpn_exponent(0.42, seed=5)
+    assert Pool.submitted == [[110] * 12, [1400] * 2]
 
 
 def test_dumer_never_above_prange():
