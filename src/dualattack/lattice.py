@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import _worker
 from .errors import BudgetExceeded, DomainError
 
 MODELS = ("refined", "floor", "independence")
@@ -181,6 +182,51 @@ def _strata():
     return pairs
 
 
+def _walk(params, t, key, base, terms, lo, hi):
+    # strata [lo, hi) of survival_refined, each as (scale, mean and variance
+    # of the refined crossing probability, mean and variance of the floor
+    # hit) over its base draws.  The generator is rebuilt from key and every
+    # stratum below hi is drawn in order, so each process that runs a range
+    # sees the draws the one-process loop would; one threshold table per
+    # process is reused across strata
+    from scipy.special import erfc
+
+    rng = np.random.default_rng(key)
+    log_theta = log_gamma_rate(params)
+    c = math.sqrt(0.5 * params.N) * math.sqrt(2.0)  # sigma sqrt(2)
+    buf = np.empty((base, len(t)))
+    out = []
+    for i, (a, b) in enumerate(_strata()[:hi]):
+        if math.isinf(b):
+            u = a + rng.exponential(1.0, base)
+            scale = math.exp(-a)
+        else:
+            # exact stratum mass with inverse-CDF conditional draws, so
+            # the stratum weights sum to one with no sampling noise
+            span = -math.expm1(a - b)
+            u = a - np.log1p(-rng.uniform(0.0, 1.0, base) * span)
+            scale = math.exp(-a) * span
+        if i < lo:
+            for _ in range(terms - 1):
+                rng.exponential(1.0, base)
+            continue
+        u = np.maximum(u, 1e-300)
+        x_floor = _floor_scores(params, (np.log(u) - log_theta) / params.n)
+        for _ in range(terms - 1):
+            u = u + rng.exponential(1.0, base)
+            x_floor = x_floor + _floor_scores(params, (np.log(u) - log_theta) / params.n)
+
+        np.subtract(t[None, :], x_floor[:, None], out=buf)
+        buf /= c
+        erfc(buf, out=buf)
+        buf *= 0.5
+        qm, qv = buf.mean(axis=0), buf.var(axis=0)
+        hit = x_floor[:, None] >= t[None, :]
+        np.copyto(buf, hit)
+        out.append((scale, qm, qv, hit.mean(axis=0), buf.var(axis=0)))
+    return out
+
+
 def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     """Monte-Carlo survival curves of the dual-attack score.
 
@@ -191,9 +237,15 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     independence-assumption Gaussian alone ("independence"), each with a
     95% band.  shortest_terms > 1 adds later arrivals to the floor sum.
 
-    Each stratum holds a (trials per stratum) x (thresholds) table in a
-    few float64 arrays; tables over 2^25 cells (about 0.9 GB at the peak)
-    raise BudgetExceeded before anything is drawn."""
+    On a machine with two or more cores and fork, a forked worker process
+    runs the first half of the strata while this process runs the rest;
+    each draws its own strata from the same seed, and the curves are the
+    same bit for bit as in one process.  The table cap holds per
+    process: at the peak each of the two processes holds one
+    (trials per stratum) x (thresholds) float64 table and its variance
+    temporary.  Tables over 2^25 cells (256 MiB, so about 0.6 GB per
+    process at the peak) raise BudgetExceeded before anything is drawn
+    or forked."""
     from scipy.special import erfc
 
     if mc_trials < 10 ** 5:
@@ -206,40 +258,30 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     if len(t) > 1 and not np.all(np.diff(t) > 0):
         raise DomainError("threshold grid must be strictly increasing")
 
-    rng = np.random.default_rng([seed, params.n, params.N, shortest_terms])
     log_theta = log_gamma_rate(params)
     sigma = math.sqrt(0.5 * params.N)
-    pairs = _strata()
-    base = mc_trials // len(pairs)
+    n_strata = len(_strata())
+    base = mc_trials // n_strata
     if base * len(t) > 1 << 25:
         raise BudgetExceeded(f"{base} trials per stratum x {len(t)} thresholds exceeds 2^25 cells")
+
+    key = [seed, params.n, params.N, shortest_terms]
+    with _worker() as pool:
+        cut = 0 if pool is None else n_strata // 2
+        far = None if pool is None else pool.submit(_walk, params, t, key, base, shortest_terms, 0, cut)
+        strata = _walk(params, t, key, base, shortest_terms, cut, n_strata)
+        if far is not None:
+            strata = far.result() + strata
 
     ref = np.zeros(len(t))
     ref_var = np.zeros(len(t))
     flo = np.zeros(len(t))
     flo_var = np.zeros(len(t))
-    for a, b in pairs:
-        if math.isinf(b):
-            u = a + rng.exponential(1.0, base)
-            scale = math.exp(-a)
-        else:
-            # exact stratum mass with inverse-CDF conditional draws, so
-            # the stratum weights sum to one with no sampling noise
-            span = -math.expm1(a - b)
-            u = a - np.log1p(-rng.uniform(0.0, 1.0, base) * span)
-            scale = math.exp(-a) * span
-        u = np.maximum(u, 1e-300)
-        x_floor = _floor_scores(params, (np.log(u) - log_theta) / params.n)
-        for _ in range(shortest_terms - 1):
-            u = u + rng.exponential(1.0, base)
-            x_floor = x_floor + _floor_scores(params, (np.log(u) - log_theta) / params.n)
-
-        hit = x_floor[:, None] >= t[None, :]
-        q = 0.5 * erfc((t[None, :] - x_floor[:, None]) / (sigma * math.sqrt(2.0)))
-        ref += scale * q.mean(axis=0)
-        ref_var += scale * scale * q.var(axis=0) / base
-        flo += scale * hit.mean(axis=0)
-        flo_var += scale * scale * np.asarray(hit, dtype=np.float64).var(axis=0) / base
+    for scale, qm, qv, hm, hv in strata:
+        ref += scale * qm
+        ref_var += scale * scale * qv / base
+        flo += scale * hm
+        flo_var += scale * scale * hv / base
 
     curves = {
         "refined": np.clip(ref, 0.0, 1.0),
@@ -255,7 +297,7 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     hi = {m: np.clip(curves[m] + half[m], 0.0, 1.0) for m in MODELS}
     meta = {
         "seed": seed,
-        "mc_trials": base * len(pairs),
+        "mc_trials": base * n_strata,
         "shortest_terms": shortest_terms,
         "threshold_units": "raw score",
         "log_theta": log_theta,

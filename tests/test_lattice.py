@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import threading
+from contextlib import nullcontext
 
 import mpmath
 import numpy as np
@@ -8,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from dualattack import asymptotics as A
 from dualattack import lattice as L
-from dualattack.errors import DomainError
+from dualattack.errors import BudgetExceeded, DomainError
 
 mpmath.mp.prec = 256
 
@@ -257,3 +262,119 @@ def test_waterfall_floor_shape_left_preset():
     assert 0.8 < ref[0] / ind[0] < 1.5
     assert ref[1] > 100.0 * ind[1]
     assert ref[1] > 1e-15
+
+
+def _fig3_curve(preset, terms):
+    # survival_refined on the lattice-score default grid and trial count
+    p = L.preset_params(preset)
+    grid = np.linspace(0.0, float(np.ceil(10.0 * np.sqrt(p.N / 2.0))), 51)
+    return L.survival_refined(p, grid, seed=3, shortest_terms=terms)
+
+
+def _curve_fields(c):
+    # every output of a curve as exact bytes, with its repr
+    bands = {m: (c.survival[m].tobytes(), c.ci_low[m].tobytes(), c.ci_high[m].tobytes())
+             for m in L.MODELS}
+    return c.thresholds.tobytes(), bands, c.meta, repr(c)
+
+
+def _scored_here(monkeypatch):
+    # counts the _floor_scores calls made in this process: one per stratum
+    # and shortest term that this process computes
+    calls = []
+    scores = L._floor_scores
+
+    def counting(params, log_j):
+        calls.append(os.getpid())
+        return scores(params, log_j)
+
+    monkeypatch.setattr(L, "_floor_scores", counting)
+    return calls
+
+
+def _small_curve_scores():
+    # the _floor_scores calls this process makes for one small curve
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _scored_here(mp)
+        L.survival_refined(L.preset_params("fig3-left"), [0.0, 400.0], mc_trials=10 ** 5)
+    return len(calls)
+
+
+def test_survival_budget_follows_the_strata(monkeypatch):
+    # the 2^25-cell cap per stratum table, with the trials split over
+    # every stratum: one point past it is refused before any draw or fork
+    base = 200000 // len(L._strata())
+    limit = (1 << 25) // base
+    assert (len(L._strata()), base, limit) == (42, 4761, 7047)
+    events = []
+
+    class Reached(Exception):
+        pass
+
+    def walk(*args):
+        events.append("draw")
+        raise Reached
+
+    monkeypatch.setattr(L, "_walk", walk)
+    monkeypatch.setattr(L, "_worker", lambda: events.append("fork") or nullcontext())
+    p = L.preset_params("fig3-left")
+    with pytest.raises(BudgetExceeded):
+        L.survival_refined(p, np.arange(limit + 1.0))
+    assert events == []
+    with pytest.raises(Reached):
+        L.survival_refined(p, np.arange(float(limit)))
+    assert events == ["fork", "draw"]
+
+
+@pytest.mark.parametrize("terms", [1, 3])
+@pytest.mark.parametrize("preset", L.PRESETS)
+def test_survival_split_matches_in_process(monkeypatch, preset, terms):
+    # the forked two-process split gives every output of the in-process
+    # run, bit for bit
+    calls = _scored_here(monkeypatch)
+    monkeypatch.setattr(A, "_cores", lambda: 2)
+    split = _fig3_curve(preset, terms)
+    assert len(calls) == 21 * terms
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(A, "_cores", lambda: 1)
+    alone = _fig3_curve(preset, terms)
+    assert len(calls) == (21 + 42) * terms
+    assert _curve_fields(split) == _curve_fields(alone)
+
+
+@pytest.mark.parametrize("where", ["both", "worker"])
+def test_survival_split_leaves_no_process_when_scores_raise(monkeypatch, where):
+    # the fork carries the patched floor scores into the worker; its error,
+    # or the caller's own, reaches the caller and the worker is joined
+    caller = os.getpid()
+    scores = L._floor_scores
+
+    def failing(params, log_j):
+        if where == "both" or os.getpid() != caller:
+            raise FloatingPointError("floor scores failed")
+        return scores(params, log_j)
+
+    monkeypatch.setattr(A, "_cores", lambda: 2)
+    monkeypatch.setattr(L, "_floor_scores", failing)
+    with pytest.raises(FloatingPointError, match="floor scores failed"):
+        _fig3_curve("fig3-left", 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_survival_stays_in_process_beside_threads_and_in_daemons(monkeypatch):
+    # a second running thread, or a daemonic caller, computes every
+    # stratum in-process
+    monkeypatch.setattr(A, "_cores", lambda: 2)
+    assert _small_curve_scores() == 21
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _small_curve_scores() == 42
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_small_curve_scores) == 42
+    assert multiprocessing.active_children() == []
