@@ -618,12 +618,9 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
         # got is exact(x)
         nonlocal best_feas, best_any
         alpha, residuals, vec = got
-        worst = max(residuals)
         if best_any is None or alpha < best_any[0]:
             best_any = got
-        if worst > 1e-9:
-            _, alpha, residuals, vec, worst = _repair(x, got, R, tau, exact)
-        if worst <= 1e-9 and (best_feas is None or alpha < best_feas[0]):
+        if max(residuals) <= 1e-9 and (best_feas is None or alpha < best_feas[0]):
             best_feas = (alpha, residuals, vec, np.asarray(x, dtype=np.float64))
 
     # the chain ends' first exact checks in one objective call
@@ -644,30 +641,6 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
     return ExponentPoint(
         R, tau, alpha, AsymParams(*vec, N_aux), best_feas is not None, residuals, "double-rlpn"
     )
-
-
-def _repair(x, got, R, tau, exact):
-    # pull a near-feasible optimizer output strictly inside: the sample
-    # constraint loosens as mu shrinks, the capacity ones as omega shrinks;
-    # got is exact(x), already computed by the caller
-    x = np.array(x, dtype=np.float64)
-    alpha, residuals, vec = got
-    for label, i in (("sample_bias", 3), ("list_capacity", 2)):
-        at = RESIDUAL_LABELS.index(label)
-        if not 0.0 < residuals[at] < 5e-3:
-            continue
-        lo, hi = max(0.0, tau - x[0]) if i == 3 else 0.0, x[i]
-        for _ in range(50):
-            mid = (lo + hi) / 2.0
-            trial = x.copy()
-            trial[i] = mid
-            if exact(trial)[1][at] <= -1e-12:
-                lo = mid
-            else:
-                hi = mid
-        x[i] = lo
-        alpha, residuals, vec = exact(x)
-    return x, alpha, residuals, vec, max(residuals)
 
 
 def exponent_curve(algorithms, R_grid, seed=0, N_aux=1):

@@ -279,6 +279,8 @@ def _cmd_survival(args):
         if len(gc) < 3 or gc["points"] < 2 or gc["max"] < gc["min"]:
             raise ConfigError(f"{where['grid']}: [grid] needs min, max and "
                               "points, with points >= 2 and max >= min")
+        if not (math.isfinite(gc["min"]) and math.isfinite(gc["max"])):
+            raise ConfigError(f"{where['grid']}: [grid] min and max must be finite")
         grid = np.linspace(gc["min"], gc["max"], gc["points"]).tolist()
     try:
         nparams = ModelParams(mc["n"], mc["k"], mc["t"], mc["s"], mc["u"],

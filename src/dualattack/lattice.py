@@ -43,8 +43,8 @@ class LatticeScoreParams:
             raise DomainError("dimension must be even and >= 2")
         if self.N < 1:
             raise DomainError("need at least one dual vector")
-        if not self.w > 0:
-            raise DomainError("dual norm scale must be positive")
+        if not 0 < self.w < math.inf:
+            raise DomainError("dual norm scale must be positive and finite")
         if not math.isfinite(self.log_volume):
             raise DomainError("log-volume must be finite")
 

@@ -990,58 +990,27 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert res.stdout.strip() == "[]"
 
 
-def _repair_reference(x, R, tau, exact):
-    # reference for _repair: the two bisections written out
-    x = np.array(x, dtype=np.float64)
-    alpha, residuals, vec = exact(x)
-    sb, cap = A.RESIDUAL_LABELS.index("sample_bias"), A.RESIDUAL_LABELS.index("list_capacity")
-    if 0.0 < residuals[sb] < 5e-3:
-        lo, hi = max(0.0, tau - x[0]), x[3]
-        for _ in range(50):
-            mid = (lo + hi) / 2.0
-            if exact(np.array([x[0], x[1], x[2], mid]))[1][sb] <= -1e-12:
-                lo = mid
-            else:
-                hi = mid
-        x[3] = lo
-        alpha, residuals, vec = exact(x)
-    if 0.0 < residuals[cap] < 5e-3:
-        lo, hi = 0.0, x[2]
-        for _ in range(50):
-            mid = (lo + hi) / 2.0
-            if exact(np.array([x[0], x[1], mid, x[3]]))[1][cap] <= -1e-12:
-                lo = mid
-            else:
-                hi = mid
-        x[2] = lo
-        alpha, residuals, vec = exact(x)
-    return x, alpha, residuals, vec, max(residuals)
+def test_drill_down_starts_at_a_checked_feasible_end(monkeypatch):
+    # each one-chain drill-down (maxfev 800) starts at the x of a chain end
+    # that the point checked and found feasible: a phase-2 end or the
+    # first drill-down's end
+    R, tau = 0.2, h2_inv(1.0 - 0.2)
+    run_chains = A._run_chains
+    ends, starts = [], []
 
+    def recording(R_, tau_, N_aux, prefix, specs):
+        if prefix is None and len(specs) == 1 and specs[0][1] == 800:
+            x0 = specs[0][0][0]
+            assert any(x0.tobytes() == e.tobytes() for e in ends)
+            starts.append(x0)
+        got = run_chains(R_, tau_, N_aux, prefix, specs)
+        if prefix is None:
+            ends.extend(sim[0] for sim, _, _ in got)
+        return got
 
-def test_repair_matches_reference():
-    # optimizer outputs just outside the sample constraint, the capacity
-    # constraint and both, at R = 0.42
-    R = 0.42
-    tau = h2_inv(1.0 - R)
-    exact = partial(A._exact, R, tau, 1)
-    points = [
-        [0.2772, 0.05544, 0.03391411259141597, 0.13519491351946222],
-        [0.126, 0.1008, 0.07684076439158151, 0.11251714135268681],
-        [0.126, 0.0756, 0.0753531708877862, 0.11291190660921074],
-        [0.2268, 0.045360000000000004, 0.04343543156137908, 0.13611952864703036],
-        [0.360313519651444, 0.061839231432926994, 0.01864107218525536, 0.12393211966433315],
-        [0.29834979423783337, 0.07289171343986495, 0.033637640193968546, 0.12331366437015069],
-    ]
-    for x in points:
-        seen = []
-
-        def counting(v):
-            seen.append(np.array(v, dtype=np.float64).tobytes())
-            return exact(v)
-
-        got = A._repair(x, exact(x), R, tau, counting)
-        want = _repair_reference(x, R, tau, exact)
-        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:], x
-        assert got[0].tobytes() != np.array(x).tobytes()
-        # the caller's exact(x) is reused, not evaluated again
-        assert np.array(x, dtype=np.float64).tobytes() not in seen
+    monkeypatch.setattr(A, "_run_chains", recording)
+    with _cores(1), _restarts(20):
+        p = A.double_rlpn_exponent(R, seed=0)
+    assert p.feasible and len(starts) == 2
+    for x0 in starts:
+        assert max(A._exact(R, tau, 1, x0)[1]) <= 1e-9

@@ -3,9 +3,11 @@ byte-level determinism and exit codes."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,18 @@ def test_survival_explicit_grid_shared(tmp_path):
         assert np.allclose(ts, want)
 
 
+@pytest.mark.parametrize("bound", ["min = nan\nmax = 30", "min = -10\nmax = inf", "min = -inf\nmax = 30"])
+def test_survival_non_finite_grid_exit_2(bound, tmp_path, capsys):
+    # refused naming the [grid] header (line 15); no CSV is written
+    cfg = tmp_path / "surv.ini"
+    cfg.write_text(SURV_INI + "\n[grid]\n%s\npoints = 9\n" % bound)
+    out = tmp_path / "curves.csv"
+    assert cli.run(["survival", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:15: [grid] min and max must be finite\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
+
+
 def test_survival_unknown_field_line_precise(tmp_path, capsys):
     cfg = tmp_path / "surv.ini"
     cfg.write_text("[model]\nn = 24\nbogus = 1\n")
@@ -379,6 +393,17 @@ def test_lattice_score_custom_rejects_q_and_T(field, tmp_path, capsys):
     assert f"{cfg}:6" in err and "unknown field" in err
 
 
+def test_lattice_score_custom_infinite_w_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "lat.ini"
+    cfg.write_text("[lattice]\nn = 60\nlog_volume = 255.0\nN = 5040\nw = inf\n")
+    out = tmp_path / "x.csv"
+    assert cli.run(["lattice-score", "--preset", "custom", "--config",
+                    str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:1: dual norm scale must be positive and finite\n"
+    assert not out.exists()
+
+
 def test_lattice_score_flag_conflicts(tmp_path, capsys):
     assert cli.run(["lattice-score", "--preset", "custom"]) == 2
     cfg = tmp_path / "lat.ini"
@@ -449,9 +474,13 @@ def test_duality_check_budget_exit(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process did, with or without
+    # PYTHONPATH set
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     res = subprocess.run([sys.executable, "-m", "dualattack",
                           "krawtchouk", "--n", "4", "--w", "1"],
-                         capture_output=True, text=True, timeout=120)
+                         env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0
     assert res.stdout.splitlines()[0] == "t,value"
 

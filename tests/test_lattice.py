@@ -58,6 +58,10 @@ def test_params_validation():
         L.LatticeScoreParams(60, 1.0, 10, 0.0)
     with pytest.raises(DomainError):
         L.LatticeScoreParams(60, math.inf, 10, 0.1)
+    # an infinite scale would overflow in log_bessel_j
+    for w in (math.inf, math.nan, -math.inf):
+        with pytest.raises(DomainError, match="positive and finite"):
+            L.LatticeScoreParams(60, 1.0, 10, w)
 
 
 def _bessel(k, x):
