@@ -79,8 +79,8 @@ def log_bessel_j(k, xs):
     recurrence with sum normalization otherwise.  The log form survives
     orders where the value itself under- or overflows a float."""
     xs = np.asarray(xs, dtype=np.float64)
-    if k < 0 or k != int(k) or np.any(xs < 0):
-        raise DomainError("need an integer order k >= 0 and x >= 0")
+    if k < 0 or not float(k).is_integer() or not np.all((xs >= 0) & (xs < np.inf)):
+        raise DomainError("need an integer order k >= 0 and finite x >= 0")
     k = int(k)
     sign = np.zeros(xs.shape)
     logm = np.full(xs.shape, -np.inf)
@@ -92,11 +92,19 @@ def log_bessel_j(k, xs):
     if ser.any():
         x = xs[ser]
         hh = 0.25 * x * x
+        hmax = float(np.max(hh))
         s = np.zeros_like(x)
         c = np.ones_like(x)
         for m in range(160):
             s += c
             c *= -hh / ((m + 1.0) * (m + 1.0 + k))
+            # stop where the 160-term sum is already reached: once
+            # (m+2)(m+2+k) > max hh every later multiplier rounds to at most
+            # 1 in magnitude, so no pending term exceeds |c|, and |c| below
+            # |s| 2^-55 is under half the spacing of floats on either side
+            # of s, so adding any of them rounds back to s
+            if (m + 2.0) * (m + 2.0 + k) > hmax and np.all(np.abs(c) < np.abs(s) * 2.0 ** -55):
+                break
         nz = s != 0.0
         sg = np.where(s > 0, 1.0, np.where(s < 0, -1.0, 0.0))
         lg = np.where(nz, k * np.log(0.5 * x) - math.lgamma(k + 1.0)
@@ -110,18 +118,23 @@ def log_bessel_j(k, xs):
         top = max(k, int(xm)) + int(math.sqrt(40.0 * max(k, int(xm), 1))) + 2
         if top % 2:
             top += 1
+        # three buffers rotate: each step computes fm into the one fp
+        # frees, which then holds 2 f for the norm until the next step
         fp = np.zeros_like(x)
         f = np.full_like(x, 1e-290)
-        norm = 2.0 * f if top % 2 == 0 else np.zeros_like(x)
+        fm = np.empty_like(x)
+        norm = 2.0 * f
         val = np.zeros_like(x)
         for m in range(top, 0, -1):
-            fm = (2.0 * m / x) * f - fp
-            fp, f = f, fm
+            np.divide(2.0 * m, x, out=fm)
+            fm *= f
+            fm -= fp
+            fp, f, fm = f, fm, fp
             idx = m - 1
             if idx == k:
-                val = fm.copy()
+                val = f.copy()
             if idx % 2 == 0:
-                norm = norm + (fm if idx == 0 else 2.0 * fm)
+                norm += f if idx == 0 else np.multiply(2.0, f, out=fm)
             if m % 16 == 0:
                 big = np.abs(f) > 1e250
                 if big.any():
@@ -188,13 +201,14 @@ def _walk(params, t, key, base, terms, lo, hi):
     # hit) over its base draws.  The generator is rebuilt from key and every
     # stratum below hi is drawn in order, so each process that runs a range
     # sees the draws the one-process loop would; one threshold table per
-    # process is reused across strata
+    # process, and its hit table, are reused across strata
     from scipy.special import erfc
 
     rng = np.random.default_rng(key)
     log_theta = log_gamma_rate(params)
     c = math.sqrt(0.5 * params.N) * math.sqrt(2.0)  # sigma sqrt(2)
     buf = np.empty((base, len(t)))
+    hit = np.empty(buf.shape, dtype=bool)
     out = []
     for i, (a, b) in enumerate(_strata()[:hi]):
         if math.isinf(b):
@@ -220,10 +234,18 @@ def _walk(params, t, key, base, terms, lo, hi):
         buf /= c
         erfc(buf, out=buf)
         buf *= 0.5
-        qm, qv = buf.mean(axis=0), buf.var(axis=0)
-        hit = x_floor[:, None] >= t[None, :]
-        np.copyto(buf, hit)
-        out.append((scale, qm, qv, hit.mean(axis=0), buf.var(axis=0)))
+        # numpy's mean and var, whose axis-0 sums add rows in order, with
+        # the variance's deviations squared in place
+        qm = buf.sum(axis=0) / base
+        buf -= qm
+        np.square(buf, out=buf)
+        qv = buf.sum(axis=0) / base
+        # a hit, as a float, deviates from its mean hm by 1 - hm or by -hm
+        np.greater_equal(x_floor[:, None], t[None, :], out=hit)
+        hm = np.count_nonzero(hit, axis=0) / base
+        np.copyto(buf, hm * hm)
+        np.copyto(buf, (1.0 - hm) * (1.0 - hm), where=hit)
+        out.append((scale, qm, qv, hm, buf.sum(axis=0) / base))
     return out
 
 
@@ -242,10 +264,10 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     each draws its own strata from the same seed, and the curves are the
     same bit for bit as in one process.  The table cap holds per
     process: at the peak each of the two processes holds one
-    (trials per stratum) x (thresholds) float64 table and its variance
-    temporary.  Tables over 2^25 cells (256 MiB, so about 0.6 GB per
-    process at the peak) raise BudgetExceeded before anything is drawn
-    or forked."""
+    (trials per stratum) x (thresholds) float64 table and a boolean hit
+    table of the same shape.  Tables over 2^25 cells (256 MiB plus
+    32 MiB, so about 0.3 GB per process at the peak) raise
+    BudgetExceeded before anything is drawn or forked."""
     from scipy.special import erfc
 
     if mc_trials < 10 ** 5:

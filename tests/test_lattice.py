@@ -79,6 +79,104 @@ def test_bessel_trivial_points():
     for k, x in [(-1, 2.0), (2, -1.0), (0.5, 2.0), (4.5, 40.0)]:
         with pytest.raises(DomainError):
             L.log_bessel_j(k, [x])
+    # a non-finite argument is refused, not read as a zero of J or
+    # overflowed in sizing the recurrence
+    for xs in ([math.nan, 1.0], [math.inf], [1.0, -math.inf]):
+        with pytest.raises(DomainError, match="finite x"):
+            L.log_bessel_j(3, xs)
+    for k in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            L.log_bessel_j(k, [1.0])
+
+
+def _bessel_reference(k, xs, rescaled):
+    # log_bessel_j with a fixed 160-term series and a recurrence that
+    # allocates at each step; appends to rescaled each step m that rescales
+    xs = np.asarray(xs, dtype=np.float64)
+    sign = np.zeros(xs.shape)
+    logm = np.full(xs.shape, -np.inf)
+    if k == 0:
+        sign[xs == 0] = 1.0
+        logm[xs == 0] = 0.0
+    cut = max(0.85 * k, 2.0)
+    ser = (xs > 0) & (xs <= cut)
+    if ser.any():
+        x = xs[ser]
+        hh = 0.25 * x * x
+        s = np.zeros_like(x)
+        c = np.ones_like(x)
+        for m in range(160):
+            s += c
+            c *= -hh / ((m + 1.0) * (m + 1.0 + k))
+        nz = s != 0.0
+        sg = np.where(s > 0, 1.0, np.where(s < 0, -1.0, 0.0))
+        lg = np.where(nz, k * np.log(0.5 * x) - math.lgamma(k + 1.0)
+                      + np.log(np.abs(np.where(nz, s, 1.0))), -np.inf)
+        sign[ser] = sg
+        logm[ser] = lg
+    rec = xs > cut
+    if rec.any():
+        x = xs[rec]
+        xm = float(np.max(x))
+        top = max(k, int(xm)) + int(math.sqrt(40.0 * max(k, int(xm), 1))) + 2
+        if top % 2:
+            top += 1
+        fp = np.zeros_like(x)
+        f = np.full_like(x, 1e-290)
+        norm = 2.0 * f
+        val = np.zeros_like(x)
+        for m in range(top, 0, -1):
+            fm = (2.0 * m / x) * f - fp
+            fp, f = f, fm
+            idx = m - 1
+            if idx == k:
+                val = fm.copy()
+            if idx % 2 == 0:
+                norm = norm + (fm if idx == 0 else 2.0 * fm)
+            if m % 16 == 0:
+                big = np.abs(f) > 1e250
+                if big.any():
+                    rescaled.append(m)
+                    sc = np.where(big, 1e-250, 1.0)
+                    fp *= sc
+                    f *= sc
+                    norm *= sc
+                    val *= sc
+        nz = val != 0.0
+        sign[rec] = np.where(nz, np.sign(val / norm), 0.0)
+        logm[rec] = np.where(nz, np.log(np.abs(np.where(nz, val, 1.0)))
+                             - np.log(np.abs(norm)), -np.inf)
+    return sign, logm
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 29, 39])
+def test_bessel_matches_full_series_and_allocating_recurrence(k):
+    # the series' early stop and the in-place recurrence give the bits of
+    # the full series and the allocating steps, point by point (where one
+    # point alone sets the stop) and over arrays mixing both paths
+    cut = max(0.85 * k, 2.0)
+    below = np.concatenate((np.logspace(-300.0, math.log10(cut), 121),
+                            np.linspace(0.0, cut, 49)[1:]))
+    above = cut * np.linspace(1.0, 4.0, 25)[1:]
+    cases = [[x] for x in below] + [[x] for x in above[:4]]
+    cases += [below, np.concatenate((above, below)), np.concatenate((below[::-1], above))]
+    for xs in cases:
+        got = L.log_bessel_j(k, xs)
+        ref = _bessel_reference(k, xs, [])
+        assert got[0].tobytes() == ref[0].tobytes(), (k, xs)
+        assert got[1].tobytes() == ref[1].tobytes(), (k, xs)
+
+
+def test_bessel_in_place_recurrence_through_a_rescale():
+    # points just above the cut grow past 1e250 on the way down from a
+    # far larger argument's starting order, so the rescale step runs
+    xs = np.array([34.0, 34.5, 60.0, 1500.0])
+    rescaled = []
+    ref = _bessel_reference(39, xs, rescaled)
+    assert rescaled and np.all(np.isfinite(ref[1]))
+    got = L.log_bessel_j(39, xs)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
 
 
 def test_floor_score_at_vanishing_distance():
@@ -328,6 +426,47 @@ def test_survival_budget_follows_the_strata(monkeypatch):
     with pytest.raises(Reached):
         L.survival_refined(p, np.arange(float(limit)))
     assert events == ["fork", "draw"]
+
+
+@pytest.mark.parametrize("terms", [1, 3])
+@pytest.mark.parametrize("preset", L.PRESETS)
+def test_stratum_statistics_match_numpy_mean_and_var(monkeypatch, preset, terms):
+    # each stratum's four statistics equal numpy's mean and var of the
+    # refined table and of the hit table as floats, bit for bit, on a grid
+    # past both ends of the floor scores: every sample hits the first
+    # column and none the last
+    from scipy.special import erfc
+
+    floors = []
+    scores = L._floor_scores
+
+    def recording(params, log_j):
+        floors.append(scores(params, log_j))
+        return floors[-1]
+
+    monkeypatch.setattr(L, "_floor_scores", recording)
+    p = L.preset_params(preset)
+    t = np.concatenate(([-1e12], np.linspace(0.0, float(np.ceil(10.0 * np.sqrt(p.N / 2.0))), 51), [1e12]))
+    base = 200000 // len(L._strata())
+    strata = L._walk(p, t, [5, p.n, p.N, terms], base, terms, 0, len(L._strata()))
+    assert len(strata) == len(L._strata()) and len(floors) == len(strata) * terms
+    c = math.sqrt(0.5 * p.N) * math.sqrt(2.0)
+    full, partial = [], 0
+    for i, (scale, qm, qv, hm, hv) in enumerate(strata):
+        x_floor = floors[i * terms]
+        for more in floors[i * terms + 1:(i + 1) * terms]:
+            x_floor = x_floor + more
+        q = 0.5 * erfc((t[None, :] - x_floor[:, None]) / c)
+        hit = x_floor[:, None] >= t[None, :]
+        want = (q.mean(axis=0), q.var(axis=0), hit.mean(axis=0), hit.astype(np.float64).var(axis=0))
+        for got, ref in zip((qm, qv, hm, hv), want):
+            assert got.tobytes() == ref.tobytes(), i
+        assert hm[0] == 1.0 and hm[-1] == 0.0 and hv[0] == hv[-1] == 0.0
+        full.append(np.count_nonzero(hm == 1.0))
+        partial += np.count_nonzero((hm > 0.0) & (hm < 1.0))
+    # the nearest strata hit on every sample all the way up the default
+    # grid, and some columns hit on part of the samples
+    assert max(full) == len(t) - 1 and partial > 0
 
 
 @pytest.mark.parametrize("terms", [1, 3])
