@@ -22,13 +22,14 @@ The Nelder-Mead here is a numpy port of scipy's, step for step, that
 advances all starts of a search phase together and evaluates the points
 they ask for in one batched objective call, so scipy.optimize is not
 needed.  The starts never interact, so on a machine with two or more
-cores each phase splits them into two fixed groups: a worker process
-forked once per exponent point runs half of the 24 cells, then the four
-refinements alone (the longest chains, which the serial drill-downs
-wait for; at most half the chains), while the calling process runs the
-other cells, then the seeded starts; the results are put back in start
-order.  Every reported point is the same, bit for bit, as with both
-groups run in one process.
+cores each phase splits them into two fixed groups through _split, the
+one two-process split the package has (the lattice score model's strata
+use it too): a worker process forked once per exponent point runs half
+of the 24 cells, then the four refinements alone (the longest chains,
+which the serial drill-downs wait for; at most half the chains), while
+the calling process runs the other cells, then the seeded starts; the
+results are put back in start order.  Every reported point is the same,
+bit for bit, as with both groups run in one process.
 """
 
 import math
@@ -417,17 +418,10 @@ def _clip_box(x, R, tau):
     return sigma, R_aux, _gv_tau_aux(sigma, R_aux), omega, mu
 
 
-def _exact(R, tau, N_aux, x):
-    # alpha, residuals and the box-clipped parameters of the search vector x
-    vec = _clip_box(x, R, tau)
-    alpha, residuals = _drlpn_rows(R, tau, [vec], N_aux)[0]
-    return alpha, residuals, vec
-
-
-def _penalized(R, tau, N_aux, X, chain=None):
+def _penalized(R, tau, N_aux, X):
     # the search objective at each row x of X: alpha at the clipped point
     # plus penalties for violated constraints, for d1 past 1/2 and for the
-    # distance clipping moved x (chain, the rows' owners, is unused)
+    # distance clipping moved x
     X = X.tolist()
     rows = [_clip_box(x, R, tau) for x in X]
     drift = [abs(x[0] - v[0]) + abs(x[1] - v[1]) + abs(x[2] - v[3]) + abs(x[3] - v[4])
@@ -518,13 +512,13 @@ def _nelder_mead(f, chains):
     return done
 
 
-def _run_chains(R, tau, N_aux, prefix, specs):
-    # Nelder-Mead chains, one per (simplex, maxfev, xatol, fatol, adaptive)
-    # of specs, stepped together on the penalized objective; prefix, if
-    # given, holds fixed leading coordinates of each chain's search vector
-    penalized = partial(_penalized, R, tau, N_aux)
-    f = penalized if prefix is None else lambda Y, chain: penalized(np.hstack([prefix[chain], Y]))
-    return _nelder_mead(f, [_nelder_mead_chain(*spec) for spec in specs])
+def _run_chains(R, tau, N_aux, specs):
+    # Nelder-Mead chains, one per (simplex, maxfev, xatol, fatol, adaptive,
+    # lead) of specs, stepped together on the penalized objective; lead
+    # holds the fixed leading coordinates of the chain's search vector
+    lead = np.array([spec[5] for spec in specs])
+    return _nelder_mead(lambda Y, chain: _penalized(R, tau, N_aux, np.hstack([lead[chain], Y])),
+                        [_nelder_mead_chain(*spec[:5]) for spec in specs])
 
 
 def _cores():
@@ -547,14 +541,13 @@ def _worker():
     return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
 
 
-def _run_split(pool, R, tau, N_aux, prefix, specs, cut):
-    # _run_chains over specs, the first cut chains run by the pool's worker
-    # while this process runs the others; results in the order of specs
+def _split(pool, run, jobs, cut):
+    # run(jobs), a list in the order of jobs, with the pool's worker, if
+    # any, running jobs[:cut] while this process runs jobs[cut:]
     if pool is None:
-        return _run_chains(R, tau, N_aux, prefix, specs)
-    head, tail = (None, None) if prefix is None else (prefix[:cut], prefix[cut:])
-    far = pool.submit(_run_chains, R, tau, N_aux, head, specs[:cut])
-    near = _run_chains(R, tau, N_aux, tail, specs[cut:])
+        return run(jobs)
+    far = pool.submit(run, jobs[:cut])
+    near = run(jobs[cut:])
     return far.result() + near
 
 
@@ -574,8 +567,7 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
     if N_aux < 1:
         raise DomainError("N_aux below 1")
     tau = h2_inv(1.0 - R)
-
-    exact = partial(_exact, R, tau, N_aux)
+    run = partial(_run_chains, R, tau, N_aux)
 
     # competing local basins differ mostly in (sigma, R_aux): sweep a fixed
     # lattice there with a cheap inner search over (omega, mu) so the basin
@@ -588,8 +580,8 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
             cells.append(np.array([sig, fr * sig, 0.7 * ob * (1.0 - sig), (1.0 - sig) * tau]))
     cells = np.array(cells)
     with _worker() as pool:
-        ends = _run_split(pool, R, tau, N_aux, cells[:, :2],
-                          [(s, 110, 1e-7, 1e-10, False) for s in _simplex(cells[:, 2:])], len(cells) // 2)
+        ends = _split(pool, run, [(s, 110, 1e-7, 1e-10, False, c[:2])
+                                  for s, c in zip(_simplex(cells[:, 2:]), cells)], len(cells) // 2)
         ranked = sorted(((fs.min(), np.concatenate([c[:2], s[0]])) for c, (s, fs, _) in zip(cells, ends)),
                         key=lambda r: r[0])
 
@@ -598,7 +590,7 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
         # so the worker runs them alone (at most half the chains) and this
         # process the seeded starts
         top = np.array([x0 for _, x0 in ranked[:4]])
-        specs = [(s, 1400, 1e-10, 1e-13, True) for s in _simplex(top)]
+        specs = [(s, 1400, 1e-10, 1e-13, True, ()) for s in _simplex(top)]
         rng = np.random.default_rng([seed, int(round(R * 1e9)), int(round(tau * 1e9)), N_aux])
         starts = []
         for _ in range(max(0, RESTARTS - len(cells) - 4)):
@@ -608,34 +600,31 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
             lo = max(0.0, tau - sig)
             mu = lo + (tau - lo) * (0.3 + 0.7 * rng.random())
             starts.append([sig, R_aux, omega, mu])
-        specs += [(s, 200, 1e-8, 1e-11, False) for s in _simplex(np.array(starts).reshape(-1, 4))]
-        ends = _run_split(pool, R, tau, N_aux, None, specs, min(len(top), len(specs) // 2))
+        specs += [(s, 200, 1e-8, 1e-11, False, ()) for s in _simplex(np.array(starts).reshape(-1, 4))]
+        ends = _split(pool, run, specs, min(len(top), len(specs) // 2))
 
     best_feas = None
     best_any = None
 
-    def consider(x, got):
-        # got is exact(x)
+    def consider(xs):
+        # the exact check of each search vector x of xs in one objective
+        # call, at its box-clipped parameters
         nonlocal best_feas, best_any
-        alpha, residuals, vec = got
-        if best_any is None or alpha < best_any[0]:
-            best_any = got
-        if max(residuals) <= 1e-9 and (best_feas is None or alpha < best_feas[0]):
-            best_feas = (alpha, residuals, vec, np.asarray(x, dtype=np.float64))
+        vecs = [_clip_box(x, R, tau) for x in xs]
+        for x, vec, (alpha, residuals) in zip(xs, vecs, _drlpn_rows(R, tau, vecs, N_aux)):
+            if best_any is None or alpha < best_any[0]:
+                best_any = (alpha, residuals, vec)
+            if max(residuals) <= 1e-9 and (best_feas is None or alpha < best_feas[0]):
+                best_feas = (alpha, residuals, vec, np.asarray(x, dtype=np.float64))
 
-    # the chain ends' first exact checks in one objective call
-    xs = [sim[0] for sim, _, _ in ends]
-    vecs = [_clip_box(x, R, tau) for x in xs]
-    for x, vec, got in zip(xs, vecs, _drlpn_rows(R, tau, vecs, N_aux)):
-        consider(x, (*got, vec))
+    consider([sim[0] for sim, _, _ in ends])
 
     # drill into the best basin with shrinking simplexes
     if best_feas is not None:
         for radius in (2e-3, 1e-4):
             x0 = best_feas[3]
             simplex = np.vstack([x0] + [x0 + radius * e for e in np.eye(4)])
-            x = _run_chains(R, tau, N_aux, None, [(simplex, 800, 1e-11, 1e-14, True)])[0][0][0]
-            consider(x, exact(x))
+            consider([run([(simplex, 800, 1e-11, 1e-14, True, ())])[0][0][0]])
 
     alpha, residuals, vec = (best_feas or best_any)[:3]
     return ExponentPoint(

@@ -326,8 +326,9 @@ def _cmd_exponent(args):
                 + ",".join(ALGORITHMS))
     if not 0.0 < args.rmin <= args.rmax < 1.0:
         raise ConfigError("need 0 < rmin <= rmax < 1")
-    if not 0 < args.step < math.inf:
-        raise ConfigError("--step must be positive and finite")
+    if not 1e-12 <= args.step < math.inf:
+        # rates are rounded to 12 decimals, so a finer step repeats them
+        raise ConfigError("--step must be finite and at least 1e-12")
     if (args.rmax - args.rmin) / args.step >= MAX_RATES:
         raise ConfigError(f"--step {args.step!r} gives more than {MAX_RATES} rates")
     grid = []

@@ -63,10 +63,6 @@ def gf2_rref(a):
     return ints_to_rows(rows, n), pivots
 
 
-def gf2_rank(a):
-    return len(gf2_rref(a)[1])
-
-
 def gf2_nullspace(a):
     """Basis of {x : a x^T = 0}, one vector per row (may be empty): row i
     is the free column free[i] plus the pivot columns whose rref rows

@@ -10,10 +10,11 @@ no sieve is ever run.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .asymptotics import _worker
+from .asymptotics import _split, _worker
 from .errors import BudgetExceeded, DomainError
 
 MODELS = ("refined", "floor", "independence")
@@ -125,28 +126,38 @@ def log_bessel_j(k, xs):
         fm = np.empty_like(x)
         norm = 2.0 * f
         val = np.zeros_like(x)
-        for m in range(top, 0, -1):
-            np.divide(2.0 * m, x, out=fm)
-            fm *= f
-            fm -= fp
-            fp, f, fm = f, fm, fp
-            idx = m - 1
-            if idx == k:
-                val = f.copy()
-            if idx % 2 == 0:
-                norm += f if idx == 0 else np.multiply(2.0, f, out=fm)
-            if m % 16 == 0:
-                big = np.abs(f) > 1e250
-                if big.any():
-                    sc = np.where(big, 1e-250, 1.0)
-                    fp *= sc
-                    f *= sc
-                    norm *= sc
-                    val *= sc
-        nz = val != 0.0
-        sign[rec] = np.where(nz, np.sign(val / norm), 0.0)
-        logm[rec] = np.where(nz, np.log(np.abs(np.where(nz, val, 1.0)))
-                             - np.log(np.abs(norm)), -np.inf)
+        # a point far below the largest x can overflow between two rescale
+        # checks, and its val or norm then stays inf or NaN to the end; such
+        # points are redone in a call of their own.  The largest x sets the
+        # start order and never overflows, so each such call has fewer
+        # points than the last, and the other points keep their bits
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(top, 0, -1):
+                np.divide(2.0 * m, x, out=fm)
+                fm *= f
+                fm -= fp
+                fp, f, fm = f, fm, fp
+                idx = m - 1
+                if idx == k:
+                    val = f.copy()
+                if idx % 2 == 0:
+                    norm += f if idx == 0 else np.multiply(2.0, f, out=fm)
+                if m % 16 == 0:
+                    big = np.abs(f) > 1e250
+                    if big.any():
+                        sc = np.where(big, 1e-250, 1.0)
+                        fp *= sc
+                        f *= sc
+                        norm *= sc
+                        val *= sc
+            nz = val != 0.0
+            sg = np.where(nz, np.sign(val / norm), 0.0)
+            lg = np.where(nz, np.log(np.abs(np.where(nz, val, 1.0))) - np.log(np.abs(norm)), -np.inf)
+        bad = ~(np.isfinite(val) & np.isfinite(norm))
+        if bad.any():
+            sg[bad], lg[bad] = log_bessel_j(k, x[bad])
+        sign[rec] = sg
+        logm[rec] = lg
     return sign, logm
 
 
@@ -195,13 +206,14 @@ def _strata():
     return pairs
 
 
-def _walk(params, t, key, base, terms, lo, hi):
-    # strata [lo, hi) of survival_refined, each as (scale, mean and variance
-    # of the refined crossing probability, mean and variance of the floor
-    # hit) over its base draws.  The generator is rebuilt from key and every
-    # stratum below hi is drawn in order, so each process that runs a range
-    # sees the draws the one-process loop would; one threshold table per
-    # process, and its hit table, are reused across strata
+def _walk(params, t, key, base, terms, strata):
+    # the strata of survival_refined in the range strata, each as (scale,
+    # mean and variance of the refined crossing probability, mean and
+    # variance of the floor hit) over its base draws.  The generator is
+    # rebuilt from key and every stratum below the range's end is drawn in
+    # order, so each process that runs a range sees the draws the
+    # one-process loop would; one threshold table per process, and its hit
+    # table, are reused across strata
     from scipy.special import erfc
 
     rng = np.random.default_rng(key)
@@ -210,7 +222,7 @@ def _walk(params, t, key, base, terms, lo, hi):
     buf = np.empty((base, len(t)))
     hit = np.empty(buf.shape, dtype=bool)
     out = []
-    for i, (a, b) in enumerate(_strata()[:hi]):
+    for i, (a, b) in enumerate(_strata()[:strata.stop]):
         if math.isinf(b):
             u = a + rng.exponential(1.0, base)
             scale = math.exp(-a)
@@ -220,7 +232,7 @@ def _walk(params, t, key, base, terms, lo, hi):
             span = -math.expm1(a - b)
             u = a - np.log1p(-rng.uniform(0.0, 1.0, base) * span)
             scale = math.exp(-a) * span
-        if i < lo:
+        if i < strata.start:
             for _ in range(terms - 1):
                 rng.exponential(1.0, base)
             continue
@@ -260,9 +272,10 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
     95% band.  shortest_terms > 1 adds later arrivals to the floor sum.
 
     On a machine with two or more cores and fork, a forked worker process
-    runs the first half of the strata while this process runs the rest;
-    each draws its own strata from the same seed, and the curves are the
-    same bit for bit as in one process.  The table cap holds per
+    runs the first half of the strata while this process runs the rest,
+    through the exponent search's split (asymptotics._split); each draws
+    its own strata from the same seed, and the curves are the same bit for
+    bit as in one process.  The table cap holds per
     process: at the peak each of the two processes holds one
     (trials per stratum) x (thresholds) float64 table and a boolean hit
     table of the same shape.  Tables over 2^25 cells (256 MiB plus
@@ -289,11 +302,8 @@ def survival_refined(params, grid, mc_trials=200000, seed=0, shortest_terms=1):
 
     key = [seed, params.n, params.N, shortest_terms]
     with _worker() as pool:
-        cut = 0 if pool is None else n_strata // 2
-        far = None if pool is None else pool.submit(_walk, params, t, key, base, shortest_terms, 0, cut)
-        strata = _walk(params, t, key, base, shortest_terms, cut, n_strata)
-        if far is not None:
-            strata = far.result() + strata
+        strata = _split(pool, partial(_walk, params, t, key, base, shortest_terms),
+                        range(n_strata), n_strata // 2)
 
     ref = np.zeros(len(t))
     ref_var = np.zeros(len(t))

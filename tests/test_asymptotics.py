@@ -313,30 +313,31 @@ def test_candidate_scan_on_recorded_rows(drlpn_042_run):
     assert got[1].tolist() == [_candidate_full_scan(*p) for p in problems]
 
 
-def test_run_split_cuts(monkeypatch):
+def test_split_cuts(monkeypatch):
     # the worker runs 12 of the 24 cells, then the 4 refinements alone;
-    # this process runs the other 12 cells, then the seeded starts.  With
-    # no seeded starts, each runs 2 refinements
+    # this process runs the other 12 cells, then the seeded starts, then
+    # every drill-down.  With no seeded starts, each runs 2 refinements.
+    # Only the cells carry fixed (sigma, R_aux) coordinates
     ran = []
 
-    def chains(R, tau, N_aux, prefix, specs):
-        ran.append((None if prefix is None else len(prefix), [spec[1] for spec in specs]))
+    def chains(R, tau, N_aux, specs):
+        ran.append(({len(spec[5]) for spec in specs}, [spec[1] for spec in specs]))
         return [(spec[0], np.zeros(len(spec[0])), 0) for spec in specs]
 
     class Pool:
         submitted = []
 
-        def submit(self, fn, *args):
-            self.submitted.append([spec[1] for spec in args[-1]])
-            done = fn(*args)
+        def submit(self, fn, jobs):
+            self.submitted.append([spec[1] for spec in jobs])
+            done = fn(jobs)
             return SimpleNamespace(result=lambda: done)
 
     monkeypatch.setattr(A, "_run_chains", chains)
     monkeypatch.setattr(A, "_worker", lambda: nullcontext(Pool()))
     A.double_rlpn_exponent(0.42, seed=5)
     assert Pool.submitted == [[110] * 12, [1400] * 4]
-    assert ran[:4] == [(12, [110] * 12), (12, [110] * 12), (None, [1400] * 4), (None, [200] * 36)]
-    assert all(maxfevs == [800] for _, maxfevs in ran[4:])
+    assert ran[:4] == [({2}, [110] * 12), ({2}, [110] * 12), ({0}, [1400] * 4), ({0}, [200] * 36)]
+    assert len(ran) > 4 and all(r == ({0}, [800]) for r in ran[4:])
     Pool.submitted.clear()
     with _restarts(20):
         A.double_rlpn_exponent(0.42, seed=5)
@@ -940,7 +941,7 @@ def test_nelder_mead_matches_scipy_on_penalized_objective():
     for i, fixed in enumerate(x0[:, :2]):
         cell = lambda y: scalar(np.concatenate([fixed, y]))  # noqa: E731
         _assert_same_runs(cell, sim[i : i + 1], [v[i : i + 1] for v in ours], maxfev=60, xatol=1e-7, fatol=1e-10)
-    penalized = partial(A._penalized, R, tau, 1)
+    penalized = lambda X, chain: A._penalized(R, tau, 1, X)  # noqa: E731
     sim = A._simplex(x0)
     for maxfev in (7, 9, 50):
         ours = _run_nm(penalized, sim, maxfev, 1e-10, 1e-13, adaptive=True)
@@ -998,13 +999,13 @@ def test_drill_down_starts_at_a_checked_feasible_end(monkeypatch):
     run_chains = A._run_chains
     ends, starts = [], []
 
-    def recording(R_, tau_, N_aux, prefix, specs):
-        if prefix is None and len(specs) == 1 and specs[0][1] == 800:
+    def recording(R_, tau_, N_aux, specs):
+        if len(specs) == 1 and specs[0][1] == 800:
             x0 = specs[0][0][0]
             assert any(x0.tobytes() == e.tobytes() for e in ends)
             starts.append(x0)
-        got = run_chains(R_, tau_, N_aux, prefix, specs)
-        if prefix is None:
+        got = run_chains(R_, tau_, N_aux, specs)
+        if all(len(spec[5]) == 0 for spec in specs):
             ends.extend(sim[0] for sim, _, _ in got)
         return got
 
@@ -1013,4 +1014,4 @@ def test_drill_down_starts_at_a_checked_feasible_end(monkeypatch):
         p = A.double_rlpn_exponent(R, seed=0)
     assert p.feasible and len(starts) == 2
     for x0 in starts:
-        assert max(A._exact(R, tau, 1, x0)[1]) <= 1e-9
+        assert max(A.double_rlpn_objective(R, tau, A.AsymParams(*A._clip_box(x0, R, tau)))[1]) <= 1e-9

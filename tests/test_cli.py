@@ -326,6 +326,12 @@ def test_exponent_flag_validation(capsys):
         assert cli.run(["exponent", "--rmin", "0.2", "--rmax", "0.4",
                         "--step", step]) == 2
     capsys.readouterr()
+    # rates are rounded to 12 decimals: a finer step would repeat one rate,
+    # or never leave the grid loop
+    for step in ("1e-15", "1e-300"):
+        assert cli.run(["exponent", "--algs", "prange", "--rmin", "0.3",
+                        "--rmax", "0.3", "--step", step]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_exponent_grid_cap_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import threading
+import warnings
 from contextlib import nullcontext
 
 import mpmath
@@ -177,6 +178,28 @@ def test_bessel_in_place_recurrence_through_a_rescale():
     got = L.log_bessel_j(39, xs)
     assert got[0].tobytes() == ref[0].tobytes()
     assert got[1].tobytes() == ref[1].tobytes()
+
+
+def test_bessel_point_beside_a_far_larger_argument():
+    # a point just above the cut overflows on the way down from a far
+    # larger argument's starting order; it is redone on its own, with no
+    # warning, and each point equals the point computed alone.  Points up
+    # to 60 beside partners up to 1e5 match the library
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = L.log_bessel_j(0, [2.1, 20000.0])
+        alone = [L.log_bessel_j(0, [x]) for x in (2.1, 20000.0)]
+        for k in (0, 1, 3, 29, 39):
+            xs = np.concatenate((np.linspace(max(0.85 * k, 2.0), 60.0, 41)[1:], [1e3, 3e4, 1e5]))
+            signs, lgs = L.log_bessel_j(k, xs)
+            for x, sign, lg in zip(xs, signs, lgs):
+                ref = float(jv(k, x))
+                if abs(ref) > 1e-10:
+                    assert sign == math.copysign(1.0, ref), (k, x)
+                    assert abs(math.exp(lg - math.log(abs(ref))) - 1.0) < 1e-8, (k, x)
+    assert got[0][0] == 1.0 and abs(got[1][0] + 1.7921) < 1e-4
+    for i in range(2):
+        assert [got[0][i], got[1][i]] == [alone[i][0][0], alone[i][1][0]]
 
 
 def test_floor_score_at_vanishing_distance():
@@ -448,7 +471,7 @@ def test_stratum_statistics_match_numpy_mean_and_var(monkeypatch, preset, terms)
     p = L.preset_params(preset)
     t = np.concatenate(([-1e12], np.linspace(0.0, float(np.ceil(10.0 * np.sqrt(p.N / 2.0))), 51), [1e12]))
     base = 200000 // len(L._strata())
-    strata = L._walk(p, t, [5, p.n, p.N, terms], base, terms, 0, len(L._strata()))
+    strata = L._walk(p, t, [5, p.n, p.N, terms], base, terms, range(len(L._strata())))
     assert len(strata) == len(L._strata()) and len(floors) == len(strata) * terms
     c = math.sqrt(0.5 * p.N) * math.sqrt(2.0)
     full, partial = [], 0
@@ -473,11 +496,20 @@ def test_stratum_statistics_match_numpy_mean_and_var(monkeypatch, preset, terms)
 @pytest.mark.parametrize("preset", L.PRESETS)
 def test_survival_split_matches_in_process(monkeypatch, preset, terms):
     # the forked two-process split gives every output of the in-process
-    # run, bit for bit
+    # run, bit for bit; the worker is sent the first 21 strata
+    from concurrent.futures import ProcessPoolExecutor
+
     calls = _scored_here(monkeypatch)
+    sent, submit = [], ProcessPoolExecutor.submit
+
+    def sending(pool, fn, *args):
+        sent.append(args)
+        return submit(pool, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", sending)
     monkeypatch.setattr(A, "_cores", lambda: 2)
     split = _fig3_curve(preset, terms)
-    assert len(calls) == 21 * terms
+    assert len(calls) == 21 * terms and sent == [(range(0, 21),)]
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(A, "_cores", lambda: 1)
     alone = _fig3_curve(preset, terms)
