@@ -24,7 +24,7 @@ they ask for in one batched objective call, so scipy.optimize is not
 needed.  The starts never interact, so on a machine with two or more
 cores each phase splits them into two fixed groups through _split, the
 one two-process split the package has (the lattice score model's strata
-use it too): a worker process forked once per exponent point runs half
+and the Poisson survival model's blocks use it too): a worker process forked once per exponent point runs half
 of the 24 cells, then the four refinements alone (the longest chains,
 which the serial drill-downs wait for; at most half the chains), while
 the calling process runs the other cells, then the seeded starts; the

@@ -35,9 +35,9 @@ from . import asymptotics
 from .asymptotics import ALGORITHMS, exponent_curve
 from .codes import DecodingInstance, draw_partition, random_code
 from .decoder import DoubleRlpnParams, double_rlpn
-from .duality import (MIN_POISSON_TRIALS, ModelParams, duality_check,
-                      experimental_survival, independence_survival,
-                      poisson_survival)
+from .duality import (MAX_POISSON_TRIALS, MIN_POISSON_TRIALS, ModelParams,
+                      duality_check, experimental_survival,
+                      independence_survival, poisson_survival)
 from .errors import (BudgetExceeded, ConfigError, DomainError,
                      DualAttackError, EmptySamples)
 from .krawtchouk import krawtchouk_exact
@@ -273,6 +273,9 @@ def _cmd_survival(args):
     if trials < MIN_POISSON_TRIALS:
         raise ConfigError(f"{where['experiment']}: trials must be at least "
                           f"{MIN_POISSON_TRIALS} for the Poisson model")
+    if trials > MAX_POISSON_TRIALS:
+        raise BudgetExceeded(f"{where['experiment']}: {trials} Poisson trials "
+                             f"exceed {MAX_POISSON_TRIALS}")
     grid = None
     if "grid" in cfg:
         gc = cfg["grid"]

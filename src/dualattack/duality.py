@@ -10,12 +10,15 @@ strongest oracle in the repository.
 """
 
 import math
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import numpy as np
 
 from ._kernels import pack_rows, popcount_rows, xor_closure
+from .asymptotics import _split, _worker
 from .codes import as_bits, draw_partition, gf2_matmul, systematic_form
 from .decoder import DoubleRlpnParams
 from .errors import BudgetExceeded, DomainError, EmptySamples
@@ -26,7 +29,10 @@ from .samples import AuxCode, build_sample_set, expected_pair_count
 CURVE_LABELS = ("experimental", "poisson", "independence")
 
 _CHUNK = 4096
+_SLICE = 1024
 MIN_POISSON_TRIALS = 10 ** 4
+# the statistic and its sorted copy take 512 MiB at the cap
+MAX_POISSON_TRIALS = 1 << 25
 
 
 class ModelParams:
@@ -187,6 +193,26 @@ def model_intensities(nparams):
     return lam_j, lam_i
 
 
+def _poisson_blocks(lam_j, lam_i, kw, kt, seed, trials, blocks):
+    # the raw statistics of the blocks in range blocks, one array each: block
+    # b holds trials b _CHUNK on and draws from its own generator [seed, b].
+    # A zero mean draws nothing, so rows with nj = 0 are skipped, and the
+    # rows' cells are drawn _SLICE rows at a time, which keeps the stream
+    # order; the cell sums are integers below 2^53, exact in any order
+    out = []
+    for b in blocks:
+        m = min(_CHUNK, trials - b * _CHUNK)
+        rng = np.random.default_rng([seed, b])
+        nj = rng.poisson(lam=np.broadcast_to(lam_j, (m, lam_j.size)))
+        trial, j = np.nonzero(nj)
+        cells = np.empty(trial.size, np.float64)
+        for lo in range(0, trial.size, _SLICE):
+            rows = nj[trial[lo:lo + _SLICE], j[lo:lo + _SLICE]]
+            cells[lo:lo + _SLICE] = rng.poisson(lam=rows[:, None] * lam_i[None, :]) @ kw
+        out.append(np.bincount(trial, cells * kt[j], m))
+    return out
+
+
 def poisson_statistics(nparams, trials, seed=0, n_samples=None):
     """Monte-Carlo draws of the wrong-candidate score under the Poisson
     counting model, on the raw-score axis.
@@ -196,7 +222,18 @@ def poisson_statistics(nparams, trials, seed=0, n_samples=None):
     When n_samples is given the score is rescaled by
     n_samples / E[pairs], putting a subsampled experiment on the same
     axis.
+
+    The trials are drawn in blocks of _CHUNK, block b from its own
+    generator default_rng([seed, b]), so each block's draws depend only on
+    the parameters, the seed, b and the block's length.  On a machine with
+    two or more cores and fork, a forked worker draws the first half of
+    the blocks while this process draws the rest, through the exponent
+    search's split (asymptotics._split); the output is the same bit for
+    bit with any number of cores.  More than MAX_POISSON_TRIALS trials
+    raise BudgetExceeded before anything is drawn or forked.
     """
+    if trials > MAX_POISSON_TRIALS:
+        raise BudgetExceeded(f"{trials} Poisson trials exceed {MAX_POISSON_TRIALS}")
     np_ = nparams
     lam_j, lam_i = model_intensities(nparams)
     kw = KrawtchoukTable(np_.n - np_.s, np_.w).as_float()
@@ -204,19 +241,11 @@ def poisson_statistics(nparams, trials, seed=0, n_samples=None):
     scale = 1.0 / 2.0 ** (np_.k - np_.k_aux)
     if n_samples is not None:
         scale *= float(n_samples) / float(np_.expected_pairs())
-    rng = np.random.default_rng(seed)
-    out = np.empty(trials, np.float64)
-    done = 0
-    while done < trials:
-        m = min(_CHUNK, trials - done)
-        nj = rng.poisson(lam=np.broadcast_to(lam_j, (m, lam_j.size)))
-        # a zero mean draws nothing, so rows with nj = 0 are skipped; the
-        # cell sums are integers below 2^53, exact in any order
-        trial, j = np.nonzero(nj)
-        nij = rng.poisson(lam=nj[trial, j][:, None] * lam_i[None, :])
-        out[done:done + m] = np.bincount(trial, (nij @ kw) * kt[j], m) * scale
-        done += m
-    return out
+    nb = -(-trials // _CHUNK)
+    with _worker() if nb > 1 else nullcontext() as pool:
+        blocks = _split(pool, partial(_poisson_blocks, lam_j, lam_i, kw, kt, seed, trials),
+                        range(nb), nb // 2)
+    return np.concatenate([np.empty(0), *blocks]) * scale
 
 
 def poisson_survival(nparams, trials=10 ** 5, seed=0, n_samples=None,

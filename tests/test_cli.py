@@ -272,6 +272,22 @@ def test_survival_too_few_trials_names_experiment_before_any_draw(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
 
 
+@pytest.mark.parametrize("trials", [2 ** 25 + 1, 10 ** 12])
+def test_survival_too_many_trials_exits_1_before_any_draw(trials, tmp_path, capsys, monkeypatch):
+    # the Poisson model's cap is checked before the experiment runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "experimental_survival", refuse)
+    cfg = tmp_path / "surv.ini"
+    cfg.write_text(SURV_INI.replace("trials = 20000", f"trials = {trials}"))
+    out = tmp_path / "curves.csv"
+    assert cli.run(["survival", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"budget exceeded: {cfg}:11: {trials} Poisson trials exceed")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "surv.ini"
     cfg.write_text(SURV_INI)

@@ -2,13 +2,17 @@
 rational arithmetic on batches of random instances; the survival models
 are pinned to their defining formulas and to each other."""
 
+import hashlib
 import math
+import multiprocessing
+import os
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
+from dualattack import asymptotics as A
 from dualattack import codes as C
 from dualattack import duality as DU
 from dualattack.decoder import DoubleRlpnParams, delta
@@ -187,15 +191,36 @@ def test_poisson_statistic_centered():
     assert abs(stats.mean()) <= 4 * se
 
 
+SMALL = dict(n=24, k=12, t=3, s=10, u=2, w=4, k_aux=5, t_aux=1)
+DESK = dict(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
+
+
+@pytest.mark.parametrize("model, trials", [(SMALL, 4 * 10 ** 4), (DESK, 2 * 10 ** 4)])
+def test_poisson_statistic_variance_matches_closed_form(model, trials):
+    # given N_j, the row's Krawtchouk sum has mean 0 and variance
+    # N_j sum_i kw_i^2 lam_i, and the rows are independent, so the statistic
+    # has variance scale^2 (sum_j kt_j^2 lam_j) (sum_i kw_i^2 lam_i); with
+    # the mean known to be 0, the mean of x^2 must lie within 4 standard
+    # errors of it, the error taken from the sample's own fourth moment
+    mp = DU.ModelParams(**model)
+    lam_j, lam_i = DU.model_intensities(mp)
+    kw = KrawtchoukTable(mp.n - mp.s, mp.w).as_float()
+    kt = KrawtchoukTable(mp.s, mp.t_aux).as_float()
+    want = (kt * kt) @ lam_j * ((kw * kw) @ lam_i) / 4.0 ** (mp.k - mp.k_aux)
+    x2 = DU.poisson_statistics(mp, trials, seed=5) ** 2
+    assert abs(x2.mean() - want) <= 4 * math.sqrt(x2.var() / trials)
+
+
 def _poisson_dense(nparams, trials, seed):
-    # the model drawn over every cell of every row, chunk by chunk
+    # the model drawn over every cell of every row, block b from its own
+    # generator [seed, b]
     lam_j, lam_i = DU.model_intensities(nparams)
     kw = np.array(KrawtchoukTable(nparams.n - nparams.s, nparams.w).values, dtype=np.float64)
     kt = np.array(KrawtchoukTable(nparams.s, nparams.t_aux).values, dtype=np.float64)
-    rng = np.random.default_rng(seed)
     out = []
-    for done in range(0, trials, DU._CHUNK):
+    for b, done in enumerate(range(0, trials, DU._CHUNK)):
         m = min(DU._CHUNK, trials - done)
+        rng = np.random.default_rng([seed, b])
         nj = rng.poisson(lam=np.broadcast_to(lam_j, (m, lam_j.size)))
         nij = rng.poisson(lam=nj[:, :, None] * lam_i[None, None, :])
         out.append((nij * kt[None, :, None] * kw[None, None, :]).sum(axis=(1, 2)))
@@ -203,13 +228,83 @@ def _poisson_dense(nparams, trials, seed):
 
 
 def test_poisson_statistics_match_dense_draws():
-    # skipping rows with no pairs leaves the random stream and the sums as
-    # they are: a zero mean draws nothing, and the sums are exact integers
-    small = DU.ModelParams(n=24, k=12, t=3, s=10, u=2, w=4, k_aux=5, t_aux=1)
-    desk = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
+    # skipping rows with no pairs and drawing the rest in slices leaves the
+    # random stream and the sums as they are: a zero mean draws nothing,
+    # and the sums are exact integers
+    small, desk = DU.ModelParams(**SMALL), DU.ModelParams(**DESK)
     for mp, trials in ((small, DU._CHUNK + 900), (desk, 1500)):
         for seed in (0, 5, 11):
             assert np.array_equal(DU.poisson_statistics(mp, trials, seed=seed), _poisson_dense(mp, trials, seed))
+
+
+def test_poisson_statistics_frozen_stream():
+    # pins the per-block streams, over three full blocks and a partial one
+    x = DU.poisson_statistics(DU.ModelParams(**DESK), 3 * DU._CHUNK + 5, seed=11)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == \
+        "8259b377eeda5e46f01638aba453f2d4eafdefbe54f02c132b516fdc5529d2a0"
+
+
+@pytest.mark.parametrize("trials", [1000, 3 * DU._CHUNK, 3 * DU._CHUNK + 5])
+def test_poisson_statistics_same_on_one_or_two_cores(monkeypatch, trials):
+    # a worker is forked for two or more blocks and sent the first half
+    from concurrent.futures import ProcessPoolExecutor
+
+    sent, submit = [], ProcessPoolExecutor.submit
+
+    def sending(pool, fn, *args):
+        sent.append(args)
+        return submit(pool, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", sending)
+    mp = DU.ModelParams(**DESK)
+    monkeypatch.setattr(A, "_cores", lambda: 2)
+    split = DU.poisson_statistics(mp, trials, seed=11)
+    blocks = -(-trials // DU._CHUNK)
+    assert sent == ([(range(0, blocks // 2),)] if blocks > 1 else [])
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(A, "_cores", lambda: 1)
+    assert split.tobytes() == DU.poisson_statistics(mp, trials, seed=11).tobytes()
+
+
+def test_poisson_statistics_same_with_any_slice(monkeypatch):
+    mp = DU.ModelParams(**SMALL)
+    want = DU.poisson_statistics(mp, DU._CHUNK + 900, seed=5).tobytes()
+    for size in (1, 7):
+        monkeypatch.setattr(DU, "_SLICE", size)
+        assert DU.poisson_statistics(mp, DU._CHUNK + 900, seed=5).tobytes() == want
+
+
+_CALLER = os.getpid()
+_BLOCKS = DU._poisson_blocks
+
+
+def _blocks_failing_in_worker(*args):
+    if os.getpid() != _CALLER:
+        raise FloatingPointError("block failed")
+    return _BLOCKS(*args)
+
+
+def test_poisson_split_leaves_no_process_when_a_block_raises(monkeypatch):
+    # the worker's error reaches the caller, and the worker is joined
+    monkeypatch.setattr(A, "_cores", lambda: 2)
+    monkeypatch.setattr(DU, "_poisson_blocks", _blocks_failing_in_worker)
+    with pytest.raises(FloatingPointError, match="block failed"):
+        DU.poisson_statistics(DU.ModelParams(**SMALL), 2 * DU._CHUNK, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_poisson_trials_cap_refuses_before_any_draw_or_fork(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew or forked")
+
+    monkeypatch.setattr(DU, "_worker", refuse)
+    monkeypatch.setattr(DU, "_poisson_blocks", refuse)
+    mp = DU.ModelParams(**SMALL)
+    for trials in (DU.MAX_POISSON_TRIALS + 1, 10 ** 12):
+        with pytest.raises(BudgetExceeded, match="exceed"):
+            DU.poisson_statistics(mp, trials)
+        with pytest.raises(BudgetExceeded, match="exceed"):
+            DU.poisson_survival(mp, trials)
 
 
 def test_poisson_subsample_axis():
