@@ -25,11 +25,10 @@ needed.  The starts never interact, so on a machine with two or more
 cores each phase splits them into two fixed groups through _split, the
 one two-process split the package has (the lattice score model's strata
 and the Poisson survival model's blocks use it too): a worker process forked once per exponent point runs half
-of the 24 cells, then the four refinements alone (the longest chains,
-which the serial drill-downs wait for; at most half the chains), while
-the calling process runs the other cells, then the seeded starts; the
-results are put back in start order.  Every reported point is the same,
-bit for bit, as with both groups run in one process.
+of the 24 cells, then four of the eight refinements, while the calling
+process runs the other cells, then the other refinements; the results
+are put back in start order.  Every reported point is the same, bit for
+bit, as with both groups run in one process.
 """
 
 import math
@@ -47,10 +46,6 @@ from .krawtchouk import _h2v, _kappa_grid, _omega_perp, h2, h2_inv, kappa_tilde
 INF = math.inf
 
 ALGORITHMS = ("prange", "dumer", "bjmm-eq", "double-rlpn")
-
-# Nelder-Mead starts per double-RLPN point: the 24 (sigma, R_aux) cells,
-# the 4 refinements of the best of them, and seeded random starts
-RESTARTS = 64
 
 RESIDUAL_LABELS = (
     "sigma_cap",
@@ -551,17 +546,17 @@ def _split(pool, run, jobs, cut):
     return far.result() + near
 
 
-def double_rlpn_exponent(R, N_aux=1, seed=0):
+def double_rlpn_exponent(R, N_aux=1):
     """Minimize the dual-attack exponent at rate R, decoding at the
     Gilbert-Varshamov distance.
 
     The auxiliary radius is tied to its own code's Gilbert-Varshamov
     bound throughout, so the search runs over (sigma, R_aux, omega, mu)
     with constraint penalties: a fixed lattice of (sigma, R_aux) cells,
-    its best four refined, and RESTARTS - 28 starts drawn from seed.
+    its best eight refined, and the best feasible end drilled into.
     Candidates are re-verified exactly and only certified points are
-    reported feasible.  The point is a function of (R, N_aux, seed)
-    alone."""
+    reported feasible.  The point is a function of (R, N_aux) alone; no
+    random number is drawn."""
     if not 0 < R < 1:
         raise DomainError("rate outside (0, 1)")
     if N_aux < 1:
@@ -570,8 +565,7 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
     run = partial(_run_chains, R, tau, N_aux)
 
     # competing local basins differ mostly in (sigma, R_aux): sweep a fixed
-    # lattice there with a cheap inner search over (omega, mu) so the basin
-    # ranking never depends on the seed
+    # lattice there with a cheap inner search over (omega, mu)
     cells = []
     for fs in (0.3, 0.42, 0.54, 0.66, 0.78, 0.9):
         sig = min(max(fs * R, 1e-4), min(R, 1.0 - 1e-4))
@@ -585,23 +579,10 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
         ranked = sorted(((fs.min(), np.concatenate([c[:2], s[0]])) for c, (s, fs, _) in zip(cells, ends)),
                         key=lambda r: r[0])
 
-        # refine the best cells in 4-d; seeded random starts run beside them.
-        # The refinements run longest and lead into the serial drill-downs,
-        # so the worker runs them alone (at most half the chains) and this
-        # process the seeded starts
-        top = np.array([x0 for _, x0 in ranked[:4]])
-        specs = [(s, 1400, 1e-10, 1e-13, True, ()) for s in _simplex(top)]
-        rng = np.random.default_rng([seed, int(round(R * 1e9)), int(round(tau * 1e9)), N_aux])
-        starts = []
-        for _ in range(max(0, RESTARTS - len(cells) - 4)):
-            sig = R * (0.35 + 0.63 * rng.random())
-            R_aux = sig * (0.1 + 0.8 * rng.random())
-            omega = (1.0 - sig) / 2.0 * 0.6 * rng.random() ** 1.5
-            lo = max(0.0, tau - sig)
-            mu = lo + (tau - lo) * (0.3 + 0.7 * rng.random())
-            starts.append([sig, R_aux, omega, mu])
-        specs += [(s, 200, 1e-8, 1e-11, False, ()) for s in _simplex(np.array(starts).reshape(-1, 4))]
-        ends = _split(pool, run, specs, min(len(top), len(specs) // 2))
+        # refine the best cells in 4-d, half of them on each side
+        top = _simplex(np.array([x0 for _, x0 in ranked[:8]]))
+        specs = [(s, 1400, 1e-10, 1e-13, True, ()) for s in top]
+        ends = _split(pool, run, specs, len(specs) // 2)
 
     best_feas = None
     best_any = None
@@ -632,13 +613,14 @@ def double_rlpn_exponent(R, N_aux=1, seed=0):
     )
 
 
-def exponent_curve(algorithms, R_grid, seed=0, N_aux=1):
+def exponent_curve(algorithms, R_grid, seed=None, N_aux=1):
     """Exponent points for each named algorithm along a rate grid.
 
     Points come back algorithm-major in the given orders.  Each point is
     computed on its own: a double-RLPN point equals
-    double_rlpn_exponent(R, N_aux=N_aux, seed=seed), whatever other rates
-    the grid holds and in whatever order."""
+    double_rlpn_exponent(R, N_aux=N_aux), whatever other rates the grid
+    holds and in whatever order.  seed is unused: no point draws a random
+    number, and the keyword stays only for callers that still pass it."""
     for a in algorithms:
         if a not in ALGORITHMS:
             raise DomainError("unknown algorithm " + repr(a))
@@ -650,7 +632,7 @@ def exponent_curve(algorithms, R_grid, seed=0, N_aux=1):
     for alg in algorithms:
         for r in grid:
             if alg == "double-rlpn":
-                out.append(double_rlpn_exponent(r, N_aux=N_aux, seed=seed))
+                out.append(double_rlpn_exponent(r, N_aux=N_aux))
                 continue
             tau = h2_inv(r if alg == "bjmm-eq" else 1.0 - r)
             if alg == "prange":

@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics
 from .asymptotics import ALGORITHMS, exponent_curve
 from .codes import DecodingInstance, draw_partition, random_code
 from .decoder import DoubleRlpnParams, double_rlpn
@@ -48,6 +47,8 @@ from .samples import AuxCode
 FORMAT_VERSION = 1
 # rate points one exponent run may ask for
 MAX_RATES = 10 ** 4
+# thresholds one survival or lattice-score grid may ask for
+MAX_GRID_POINTS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,9 @@ def _cmd_survival(args):
                               "points, with points >= 2 and max >= min")
         if not (math.isfinite(gc["min"]) and math.isfinite(gc["max"])):
             raise ConfigError(f"{where['grid']}: [grid] min and max must be finite")
+        if gc["points"] > MAX_GRID_POINTS:
+            raise BudgetExceeded(f"{where['grid']}: {gc['points']} grid points "
+                                 f"exceed {MAX_GRID_POINTS}")
         grid = np.linspace(gc["min"], gc["max"], gc["points"]).tolist()
     try:
         nparams = ModelParams(mc["n"], mc["k"], mc["t"], mc["s"], mc["u"],
@@ -343,7 +347,7 @@ def _cmd_exponent(args):
         grid.append(r)
         i += 1
     t0 = time.monotonic()
-    points = exponent_curve(algs, grid, seed=args.seed, N_aux=args.naux)
+    points = exponent_curve(algs, grid, N_aux=args.naux)
     rows = []
     for p in points:
         if p.argmin is None:
@@ -356,10 +360,9 @@ def _cmd_exponent(args):
               ["algorithm", "R", "tau", "alpha", "feasible",
                "sigma", "R_aux", "tau_aux", "omega", "mu"],
               rows)
-    write_metadata(args.out, "exponent", args.seed,
+    write_metadata(args.out, "exponent", None,
                    {"algs": algs, "rmin": args.rmin, "rmax": args.rmax,
-                    "step": args.step, "N_aux": args.naux,
-                    "restarts": asymptotics.RESTARTS}, t0)
+                    "step": args.step, "N_aux": args.naux}, t0)
     return 0
 
 
@@ -388,6 +391,8 @@ def _cmd_lattice_score(args):
         tmax = float(np.ceil(10.0 * np.sqrt(params.N / 2.0)))
     if args.points < 2 or tmax < args.tmin:
         raise ConfigError("need --points >= 2 and --tmax >= --tmin")
+    if args.points > MAX_GRID_POINTS:
+        raise BudgetExceeded(f"--points {args.points} exceeds {MAX_GRID_POINTS}")
     grid = np.linspace(args.tmin, tmax, args.points)
     t0 = time.monotonic()
     curve = survival_refined(params, grid, mc_trials=args.trials,
@@ -471,7 +476,6 @@ def build_parser():
     p.add_argument("--rmin", type=_float, required=True)
     p.add_argument("--rmax", type=_float, required=True)
     p.add_argument("--step", type=_float, required=True)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--naux", type=_pos_int, default=1)
     p.add_argument("--out", default="fig1.csv")
 

@@ -198,7 +198,7 @@ def test_criterion_5_candidate_count_bound():
 def test_criterion_6a_double_rlpn_below_dumer():
     t0 = time.monotonic()
     grid = [round(0.05 * i, 2) for i in range(1, 9)]
-    points = exponent_curve(["double-rlpn", "dumer"], grid, seed=0)
+    points = exponent_curve(["double-rlpn", "dumer"], grid)
     dr = {p.R: p.alpha for p in points if p.algorithm == "double-rlpn"}
     du = {p.R: p.alpha for p in points if p.algorithm == "dumer"}
     gaps = {r: du[r] - dr[r] for r in grid}
@@ -217,7 +217,7 @@ def test_criterion_6b_crossover_with_best_baseline():
     # the discrepancy rather than hiding it
     t0 = time.monotonic()
     grid = [round(0.38 + 0.02 * i, 2) for i in range(5)]
-    points = exponent_curve(["double-rlpn", "dumer"], grid, seed=0)
+    points = exponent_curve(["double-rlpn", "dumer"], grid)
     dr = [p.alpha for p in points if p.algorithm == "double-rlpn"]
     du = [p.alpha for p in points if p.algorithm == "dumer"]
     diff = [a - b for a, b in zip(dr, du)]

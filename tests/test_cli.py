@@ -312,9 +312,11 @@ def test_exponent_csv(tmp_path):
     for r in rows:
         assert r[4] == "true"
         assert r[5:] == [""] * 5
-    # the meta.json names the double-RLPN start budget
+    # no exponent point draws a random number, so the meta.json has no
+    # seed and no start budget
     meta = json.loads((tmp_path / "fig1.meta.json").read_text())
-    assert meta["config"]["restarts"] == 64
+    assert meta["seed"] is None
+    assert "restarts" not in meta["config"]
 
 
 def test_exponent_csv_numbers_are_plain(tmp_path):
@@ -378,12 +380,34 @@ def test_lattice_score_preset(tmp_path):
 
 
 def test_lattice_score_grid_budget_exit_1(tmp_path, capsys):
-    # 4878 trials per stratum x 100000 thresholds is refused before any
+    # 4761 trials per stratum x 8000 thresholds is refused before any
     # table is allocated
     out = tmp_path / "curve.csv"
     assert cli.run(["lattice-score", "--preset", "fig3-left",
-                    "--points", "100000", "--out", str(out)]) == 1
+                    "--points", "8000", "--out", str(out)]) == 1
     assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_points_cap_exit_1_before_the_grid(tmp_path, capsys, monkeypatch):
+    # one point over the cap is refused before np.linspace builds the grid
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    over = str(cli.MAX_GRID_POINTS + 1)
+    out = tmp_path / "curve.csv"
+    assert cli.run(["lattice-score", "--preset", "fig3-left",
+                    "--points", over, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"budget exceeded: --points {over} "
+                                       f"exceeds {cli.MAX_GRID_POINTS}\n")
+    assert not out.exists()
+    cfg = tmp_path / "s.ini"
+    cfg.write_text(SURV_INI + "\n[grid]\nmin = -10\nmax = 30\npoints = %s\n" % over)
+    assert cli.run(["survival", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"budget exceeded: {cfg}:15: {over} grid points exceed "
+                   f"{cli.MAX_GRID_POINTS}\n")
     assert not out.exists()
 
 
@@ -441,14 +465,22 @@ def test_lattice_score_flag_conflicts(tmp_path, capsys):
     ["lattice-score", "--preset", "fig3-left", "--points", "2"],
     ["duality-check", "--n", "12", "--k", "6", "--s", "5", "--kaux", "2",
      "--trials", "1"],
-    ["exponent", "--algs", "double-rlpn", "--rmin", "0.4", "--rmax", "0.4",
-     "--step", "0.1"],
 ])
 def test_negative_seed_exit_2(argv, tmp_path, capsys):
     if argv[0] != "duality-check":
         argv = [*argv, "--out", str(tmp_path / "x.csv")]
     assert cli.run([*argv, "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_exponent_refuses_seed(tmp_path, capsys):
+    # a double-RLPN point draws no random number, so exponent has no --seed
+    out = tmp_path / "x.csv"
+    assert cli.run(["exponent", "--algs", "double-rlpn", "--rmin", "0.4",
+                    "--rmax", "0.4", "--step", "0.1", "--out", str(out),
+                    "--seed", "0"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
