@@ -112,32 +112,21 @@ def _sort_pairs(hn, hp):
     return hn[order], hp[order]
 
 
-def gray_low_weight(bn, bp, w, max_hits=1 << 24):
+def gray_low_weight(bn, bp, w):
     """All xor combinations of the packed (bn | bp) basis whose bn-part has
-    weight exactly w, canonically sorted.  Raises BudgetExceeded when more
-    than max_hits combinations qualify."""
+    weight exactly w, canonically sorted: a sweep of all 2^m combinations,
+    the reference the meet-in-the-middle enumeration is tested against."""
     bn = np.ascontiguousarray(np.atleast_2d(bn))
     bp = np.ascontiguousarray(np.atleast_2d(bp))
     if bn.shape[0] != bp.shape[0]:
         raise ValueError("basis halves disagree on row count")
     lo_p, hi_p = _split_closures(bp)
-    hits_n = []
-    hits_p = []
-    cnt = 0
+    hits_n = [np.empty((0, bn.shape[1]), np.uint64)]
+    hits_p = [np.empty((0, bp.shape[1]), np.uint64)]
     for j, v, wt in _block_sweep(bn):
         mask = wt == w
-        nhit = int(np.count_nonzero(mask))
-        if nhit:
-            cnt += nhit
-            if cnt > max_hits:
-                raise BudgetExceeded(
-                    "low-weight hit count exceeds max_hits=%d" % max_hits
-                )
-            hits_n.append(v[mask])
-            hits_p.append(lo_p[mask] ^ hi_p[j])
-    if not hits_n:
-        return (np.empty((0, bn.shape[1]), np.uint64),
-                np.empty((0, bp.shape[1]), np.uint64))
+        hits_n.append(v[mask])
+        hits_p.append(lo_p[mask] ^ hi_p[j])
     return _sort_pairs(np.concatenate(hits_n), np.concatenate(hits_p))
 
 

@@ -92,6 +92,21 @@ def _num_x(raw):
     return _pos_int(raw)
 
 
+def _grid(lo, hi, points, names, at=""):
+    """np.linspace(lo, hi, points) once both bounds are finite, hi >= lo and
+    2 <= points <= MAX_GRID_POINTS; messages give at, then the three names."""
+    lo_name, hi_name, points_name = names
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{at}{lo_name} and {hi_name} must be finite")
+    if points < 2 or hi < lo:
+        raise ConfigError(f"{at}need {points_name} >= 2 and "
+                          f"{hi_name} >= {lo_name}")
+    if points > MAX_GRID_POINTS:
+        raise BudgetExceeded(f"{at}{points_name} {points} exceeds "
+                             f"{MAX_GRID_POINTS}")
+    return np.linspace(lo, hi, points)
+
+
 def read_config(path, schema):
     """Read a flat INI file once, checking it against schema,
     {section: ({key: converter}, required keys)}.
@@ -277,18 +292,17 @@ def _cmd_survival(args):
     if trials > MAX_POISSON_TRIALS:
         raise BudgetExceeded(f"{where['experiment']}: {trials} Poisson trials "
                              f"exceed {MAX_POISSON_TRIALS}")
+    num_x = ec.get("num_x", "all")
+    if num_x != "all" and num_x >= 2 ** mc["k_aux"]:
+        raise ConfigError(f"{where['experiment']}: num_x exceeds the "
+                          f"{2 ** mc['k_aux'] - 1} wrong candidates")
     grid = None
     if "grid" in cfg:
-        gc = cfg["grid"]
-        if len(gc) < 3 or gc["points"] < 2 or gc["max"] < gc["min"]:
-            raise ConfigError(f"{where['grid']}: [grid] needs min, max and "
-                              "points, with points >= 2 and max >= min")
-        if not (math.isfinite(gc["min"]) and math.isfinite(gc["max"])):
-            raise ConfigError(f"{where['grid']}: [grid] min and max must be finite")
-        if gc["points"] > MAX_GRID_POINTS:
-            raise BudgetExceeded(f"{where['grid']}: {gc['points']} grid points "
-                                 f"exceed {MAX_GRID_POINTS}")
-        grid = np.linspace(gc["min"], gc["max"], gc["points"]).tolist()
+        gc, at = cfg["grid"], f"{where['grid']}: [grid] "
+        if len(gc) < 3:
+            raise ConfigError(f"{at}needs min, max and points")
+        grid = _grid(gc["min"], gc["max"], gc["points"],
+                     ("min", "max", "points"), at).tolist()
     try:
         nparams = ModelParams(mc["n"], mc["k"], mc["t"], mc["s"], mc["u"],
                               mc["w"], mc["k_aux"], mc["t_aux"])
@@ -300,9 +314,8 @@ def _cmd_survival(args):
     t0 = time.monotonic()
     code = random_code(mc["n"], mc["k"], seed=[seed, 101])
     instance = DecodingInstance.plant(code, mc["t"], seed=[seed, 102])
-    exp = experimental_survival(instance, dparams,
-                                num_x=ec.get("num_x", "all"),
-                                seed=seed, grid=grid)
+    exp = experimental_survival(instance, dparams, num_x=num_x, seed=seed,
+                                grid=grid)
     n_samples = int(exp.meta["samples"])
     if n_samples == 0:
         raise ConfigError(f"{where['model']}: no pairs were drawn at seed "
@@ -389,11 +402,7 @@ def _cmd_lattice_score(args):
     tmax = args.tmax
     if tmax is None:
         tmax = float(np.ceil(10.0 * np.sqrt(params.N / 2.0)))
-    if args.points < 2 or tmax < args.tmin:
-        raise ConfigError("need --points >= 2 and --tmax >= --tmin")
-    if args.points > MAX_GRID_POINTS:
-        raise BudgetExceeded(f"--points {args.points} exceeds {MAX_GRID_POINTS}")
-    grid = np.linspace(args.tmin, tmax, args.points)
+    grid = _grid(args.tmin, tmax, args.points, ("--tmin", "--tmax", "--points"))
     t0 = time.monotonic()
     curve = survival_refined(params, grid, mc_trials=args.trials,
                              seed=args.seed, shortest_terms=args.terms)

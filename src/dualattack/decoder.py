@@ -15,9 +15,10 @@ import numpy as np
 from ._kernels import comb_search_fits, comb_xor_search_many, pack_rows
 from .codes import as_bits, draw_partition, gf2_matmul
 from .errors import BudgetExceeded, DomainError
-from .fourier import fft_decode, index_to_bits
+from .fourier import MAX_SCORE_BITS, fft_decode, index_to_bits
 from .krawtchouk import krawtchouk_exact
-from .samples import AuxCode, build_sample_set, expected_pair_count
+from .samples import (MAX_SYNDROME_PATTERNS, AuxCode, build_sample_set,
+                      expected_pair_count)
 
 
 class DoubleRlpnParams:
@@ -203,10 +204,11 @@ def double_rlpn(instance, params, stats=None):
     """Run up to N_iter partition trials; return a verified weight-t
     error word or None.  A stats dict, when given, receives trials_used.
 
-    A budget that depends on the parameters alone, the subset tables of
-    the two searches of recover_e, raises BudgetExceeded before the first
-    trial; a trial that goes over a budget of its own data (MAX_TUPLES, a
-    target's max_hits) is skipped."""
+    A budget that depends on the parameters alone (the subset tables of
+    the dual enumeration and of both searches of recover_e, the score
+    table, the auxiliary syndrome table) raises BudgetExceeded naming its
+    tables before the first trial; a trial that goes over a budget of its
+    own data (MAX_TUPLES, a target's max_hits) is skipped."""
     code, y, t = instance.code, instance.y, instance.t
     n, k = code.n, code.k
     params.validate(n, k, t)
@@ -221,10 +223,16 @@ def double_rlpn(instance, params, stats=None):
     n_iter = params.N_iter
     if n_iter is None:
         n_iter = default_n_iter(p_succ(n, params.s, t, params.u))
-    if not (comb_search_fits(params.s, t - params.u)
-            and comb_search_fits(n - params.s, params.u)):
-        raise BudgetExceeded("syndrome-decoding subset tables exceed "
-                             "MITM_HALF_CAP")
+    s, u = params.s, params.u
+    over = [name + " table" for name, fits in (
+        ("enumeration", comb_search_fits(n - s, params.w)),
+        ("P-side", comb_search_fits(s, t - u)),
+        ("N-side", comb_search_fits(n - s, u)),
+        ("score", params.k_aux <= MAX_SCORE_BITS),
+        ("syndrome", comb(s, params.t_aux) <= MAX_SYNDROME_PATTERNS))
+        if not fits]
+    if over:
+        raise BudgetExceeded(", ".join(over) + " over budget before the first trial")
     for trial in range(n_iter):
         if stats is not None:
             stats["trials_used"] = trial + 1

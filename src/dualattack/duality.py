@@ -272,29 +272,21 @@ def poisson_survival(nparams, trials=10 ** 5, seed=0, n_samples=None,
 
 
 def independence_survival(nparams, n_samples, grid):
-    """Survival curve when scores are sums of n_samples fair signs.
-
-    The binomial tail is evaluated through the regularized incomplete
-    beta up to n_samples = 10^5; past that a normal tail with
-    continuity correction stands in, which undershoots the extreme tail
-    (that deviation is exactly the effect the counting model corrects).
-    """
-    from scipy.stats import binom, norm
+    """Survival curve when scores are sums of n_samples fair signs: the
+    exact binomial tail, through the regularized incomplete beta, at
+    every sample count."""
+    from scipy.stats import binom
 
     n_samples = int(n_samples)
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
     thresholds = np.asarray(grid, dtype=np.float64)
     scale = 2.0 ** nparams.k_aux
-    kmin = np.ceil((thresholds + n_samples) / 2.0)
-    if n_samples <= 10 ** 5:
-        p = binom.sf(kmin - 1, n_samples, 0.5)
-    else:
-        p = norm.sf((kmin - 0.5 - n_samples / 2.0) / math.sqrt(n_samples / 4.0))
-    counts = np.where(thresholds > n_samples, 0.0,
-                      np.where(kmin <= 0, scale, scale * p))
-    meta = {"axis": "score", "samples": float(n_samples),
-            "exact": n_samples <= 10 ** 5}
+    # sf is exactly 1 below 0 and 0 from n_samples on, so a threshold
+    # past either end needs no branch of its own
+    counts = scale * binom.sf(np.ceil((thresholds + n_samples) / 2.0) - 1,
+                              n_samples, 0.5)
+    meta = {"axis": "score", "samples": float(n_samples)}
     return SurvivalCurve("independence", thresholds, counts, meta=meta)
 
 

@@ -14,15 +14,20 @@ from .codes import as_bits, gf2_matmul, gf2_rref
 from .errors import BudgetExceeded, DomainError, InconsistentAux
 
 
+# largest k_aux a score table serves: 2^26 int64 entries are 512 MiB
+MAX_SCORE_BITS = 26
+
+
 class FourierTable:
     """Signed integer table over the 2^k_aux auxiliary messages, at most
-    2^26 of them (512 MiB of int64).
+    2^MAX_SCORE_BITS of them.
 
     Index bit j is coordinate j of the message vector."""
 
     def __init__(self, k_aux):
-        if k_aux > 26:
-            raise BudgetExceeded("score table capped at 2^26 entries")
+        if k_aux > MAX_SCORE_BITS:
+            raise BudgetExceeded("score table capped at 2^%d entries"
+                                 % MAX_SCORE_BITS)
         self.k_aux = k_aux
         self.values = np.zeros(1 << k_aux, np.int64)
 

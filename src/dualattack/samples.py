@@ -16,19 +16,22 @@ from math import comb
 
 import numpy as np
 
-from ._kernels import (KeyTable, _sort_pairs, _subsets, comb_search_fits,
-                       comb_xor_search, gray_low_weight, pack_rows,
-                       unpack_rows)
+from ._kernels import (KeyTable, _sort_pairs, _subsets, comb_xor_search,
+                       pack_rows, unpack_rows)
 from .codes import as_bits, gf2_matmul, random_code, systematic_form
 from .errors import BudgetExceeded, DomainError
+
+# weight-t_aux patterns one syndrome table may hold
+MAX_SYNDROME_PATTERNS = 10 ** 7
 
 
 def build_syndrome_table(code, t_aux):
     """Every weight-t_aux error pattern keyed by its packed syndrome,
-    refusing more than 10^7 patterns.  Returns (table, supports): supports
-    lists the patterns' positions in lexicographic order, and table is a
-    KeyTable over their syndromes, so equal syndromes keep that order."""
-    if comb(code.n, t_aux) > 10**7:
+    refusing more than MAX_SYNDROME_PATTERNS.  Returns (table, supports):
+    supports lists the patterns' positions in lexicographic order, and
+    table is a KeyTable over their syndromes, so equal syndromes keep that
+    order."""
+    if comb(code.n, t_aux) > MAX_SYNDROME_PATTERNS:
         raise BudgetExceeded("too many weight-%d patterns" % t_aux)
     supports = _subsets(0, code.n, t_aux)
     cols = pack_rows(code.parity.T)
@@ -79,17 +82,10 @@ def enumerate_dual_low_weight(code, part, w, sf=None):
 
     Meets in the middle over the weight split of h_N against the
     shortened-code parity condition h_N Rprime^T = 0, then sets
-    h_P = h_N R^T, whenever comb_xor_search can build its subset tables;
-    otherwise sweeps the 2^(n-k) dual words in Gray order (n - k <= 34)."""
+    h_P = h_N R^T; comb_xor_search raises BudgetExceeded when its subset
+    tables exceed MITM_HALF_CAP."""
     s = part.s
     nn = code.n - s
-    if not comb_search_fits(nn, w):
-        if code.n - code.k > 34:
-            raise BudgetExceeded("gray sweep capped at 2^34 dual words")
-        hn, hp = gray_low_weight(pack_rows(code.parity[:, part.npos]),
-                                 pack_rows(code.parity[:, part.ppos]),
-                                 w, max_hits=MAX_DUAL_WORDS)
-        return unpack_rows(hn, nn), unpack_rows(hp, s)
     if sf is None:
         sf = systematic_form(code, part)
     idx = comb_xor_search(pack_rows(sf.rprime.T), 0, w, max_hits=MAX_DUAL_WORDS)

@@ -272,6 +272,22 @@ def test_survival_too_few_trials_names_experiment_before_any_draw(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
 
 
+def test_survival_num_x_over_wrong_candidates_names_experiment_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    # k_aux = 4 leaves 15 wrong candidates, so num_x = 16 is refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "experimental_survival", refuse)
+    cfg = tmp_path / "surv.ini"
+    cfg.write_text(SURV_INI + "num_x = 16\n")
+    out = tmp_path / "curves.csv"
+    assert cli.run(["survival", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:11: num_x exceeds the 15 wrong candidates\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
+
+
 @pytest.mark.parametrize("trials", [2 ** 25 + 1, 10 ** 12])
 def test_survival_too_many_trials_exits_1_before_any_draw(trials, tmp_path, capsys, monkeypatch):
     # the Poisson model's cap is checked before the experiment runs
@@ -406,8 +422,22 @@ def test_grid_points_cap_exit_1_before_the_grid(tmp_path, capsys, monkeypatch):
     cfg.write_text(SURV_INI + "\n[grid]\nmin = -10\nmax = 30\npoints = %s\n" % over)
     assert cli.run(["survival", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"budget exceeded: {cfg}:15: {over} grid points exceed "
+    assert err == (f"budget exceeded: {cfg}:15: [grid] points {over} exceeds "
                    f"{cli.MAX_GRID_POINTS}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["--tmax=inf", "--tmin=nan", "--tmin=-inf"])
+def test_lattice_score_non_finite_bound_exit_2_before_the_grid(bound, tmp_path,
+                                                              capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    out = tmp_path / "curve.csv"
+    assert cli.run(["lattice-score", "--preset", "fig3-left", bound,
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --tmin and --tmax must be finite\n"
     assert not out.exists()
 
 

@@ -422,6 +422,10 @@ def _readme_decode(n_iter=None):
                                     N_iter=n_iter, seed=7)
 
 
+def _refuse_partition(*args, **kwargs):
+    raise AssertionError("a partition was drawn")
+
+
 def test_double_rlpn_refuses_oversized_tables_before_any_trial(monkeypatch):
     # the N-side search (24 columns, weight 3) needs 598 table entries and
     # the P-side one (16 columns, weight 2) 74; both depend only on the
@@ -431,6 +435,43 @@ def test_double_rlpn_refuses_oversized_tables_before_any_trial(monkeypatch):
     stats = {}
     with pytest.raises(C.BudgetExceeded):
         D.double_rlpn(inst, p, stats)
+    assert stats["trials_used"] == 0
+
+
+@pytest.mark.parametrize("cap, tables", [
+    (1000, ["enumeration"]),
+    (50, ["enumeration", "P-side", "N-side"]),
+])
+def test_double_rlpn_refuses_subset_tables_by_name(cap, tables, monkeypatch):
+    # the README config: the enumeration (24 columns, weight 5) needs
+    # 3,172 subset-table entries besides the two searches' 598 and 74;
+    # each table over the cap is named, before any partition is drawn
+    inst, p = _readme_decode()
+    monkeypatch.setattr(K, "MITM_HALF_CAP", cap)
+    monkeypatch.setattr(D, "draw_partition", _refuse_partition)
+    stats = {}
+    with pytest.raises(C.BudgetExceeded) as err:
+        D.double_rlpn(inst, p, stats)
+    assert str(err.value) == (", ".join(name + " table" for name in tables)
+                              + " over budget before the first trial")
+    assert stats["trials_used"] == 0
+
+
+@pytest.mark.parametrize("params, table", [
+    # a 2^40-entry score table
+    (dict(s=42, u=0, w=1, k_aux=40, t_aux=1), "score"),
+    # C(40, 7) = 18,643,560 weight-7 auxiliary syndrome patterns
+    (dict(s=40, u=0, w=1, k_aux=4, t_aux=7), "syndrome"),
+])
+def test_double_rlpn_refuses_table_budgets_before_any_trial(params, table,
+                                                            monkeypatch):
+    code = C.random_code(48, 44, seed=[3, 101])
+    inst = C.DecodingInstance.plant(code, 1, seed=[3, 102])
+    monkeypatch.setattr(D, "draw_partition", _refuse_partition)
+    stats = {}
+    with pytest.raises(C.BudgetExceeded,
+                       match="^%s table over budget" % table):
+        D.double_rlpn(inst, D.DoubleRlpnParams(**params, seed=3), stats)
     assert stats["trials_used"] == 0
 
 

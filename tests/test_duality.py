@@ -9,6 +9,7 @@ import os
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -326,18 +327,32 @@ def test_independence_survival_values():
         DU.independence_survival(mp, 0, grid=[0.0])
 
 
-def test_independence_normal_switch():
+def _binomial_tail(n, kmin):
+    # P[Bin(n, 1/2) >= kmin] as a 30-digit sum of its terms, each from
+    # the last by C(n, k + 1) = C(n, k) (n - k) / (k + 1), stopped once a
+    # term no longer moves the sum
+    with mpmath.workdps(30):
+        term = mpmath.binomial(n, kmin) / mpmath.mpf(2) ** n
+        total, k = mpmath.mpf(0), kmin
+        while k <= n and term > total * mpmath.mpf(10) ** -28:
+            total += term
+            term = term * (n - k) / (k + 1)
+            k += 1
+        return float(total)
+
+
+@pytest.mark.parametrize("n_samples", [10 ** 5 + 1, 2 * 10 ** 5])
+def test_independence_survival_is_the_exact_tail(n_samples):
+    # at every sample count, 3 to 6 standard deviations out, where a
+    # normal tail is off by 6.6e-5 to 1.1e-3 relative
     mp = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
-    top = 12.0 * np.sqrt(2 * 10 ** 5)
-    curve = DU.independence_survival(mp, 2 * 10 ** 5,
-                                     grid=np.linspace(0.0, top, 257))
-    assert curve.meta["exact"] is False
-    assert curve.counts == sorted(curve.counts, reverse=True)
-    assert 0.0 <= curve.counts[-1] <= curve.counts[0] <= 2.0 ** 20
-    exact = DU.independence_survival(mp, 10 ** 5, grid=[200.0])
-    approx = DU.independence_survival(mp, 10 ** 5 + 1, grid=[200.0])
-    # the documented switch changes the tail by little at moderate T
-    assert approx.counts[0] == pytest.approx(exact.counts[0], rel=0.05)
+    grid = [z * math.sqrt(n_samples) for z in (3.0, 4.0, 5.0, 6.0)]
+    curve = DU.independence_survival(mp, n_samples, grid=grid)
+    assert curve.meta == {"axis": "score", "samples": float(n_samples)}
+    for t, count in zip(grid, curve.counts):
+        kmin = math.ceil((t + n_samples) / 2.0)
+        ref = 2.0 ** 20 * _binomial_tail(n_samples, kmin)
+        assert count == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_experimental_survival_planted():
@@ -510,7 +525,7 @@ def _poisson_loop(stats, grid, scale):
 
 
 def _independence_loop(scale, n_samples, grid):
-    from scipy.stats import binom, norm
+    from scipy.stats import binom
 
     thresholds = [float(t) for t in grid]
     counts = []
@@ -522,12 +537,7 @@ def _independence_loop(scale, n_samples, grid):
         if kmin <= 0:
             counts.append(scale)
             continue
-        if n_samples <= 10 ** 5:
-            p = float(binom.sf(kmin - 1, n_samples, 0.5))
-        else:
-            zval = (kmin - 0.5 - n_samples / 2.0) / math.sqrt(n_samples / 4.0)
-            p = float(norm.sf(zval))
-        counts.append(scale * p)
+        counts.append(scale * float(binom.sf(kmin - 1, n_samples, 0.5)))
     return thresholds, counts, counts, counts
 
 

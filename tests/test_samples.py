@@ -152,22 +152,15 @@ def test_enumerate_finds_every_dual_word(seed=6):
         assert got == ref
 
 
-def test_enumerate_falls_back_to_gray(monkeypatch):
-    # with no room for the subset tables the Gray sweep runs, and gives
-    # the meet-in-the-middle words
+def test_enumerate_over_subset_table_cap_raises(monkeypatch):
+    # with no room for the subset tables there is no other path: the
+    # enumeration refuses, at any code size
     code = C.random_code(40, 20, 5)
     part = _good_partition(code, 16, 5)
-    m_n, m_p = _mitm(code, part, 5)
-    calls = []
-    gray = K.gray_low_weight
     monkeypatch.setattr(K, "MITM_HALF_CAP", 0)
-    monkeypatch.setattr(S, "gray_low_weight",
-                        lambda *a, **kw: calls.append(1) or gray(*a, **kw))
     assert not K.comb_search_fits(24, 5)
-    g_n, g_p = S.enumerate_dual_low_weight(code, part, 5)
-    assert calls == [1]
-    assert np.array_equal(g_n, m_n)
-    assert np.array_equal(g_p, m_p)
+    with pytest.raises(BudgetExceeded, match="subset tables"):
+        S.enumerate_dual_low_weight(code, part, 5)
 
 
 def test_enumerate_budget(monkeypatch):
@@ -175,19 +168,12 @@ def test_enumerate_budget(monkeypatch):
     spart = _good_partition(small, 6, 3)
     hn, _ = _mitm(small, spart, 3)
     assert hn.shape[0] > 2
-    # both enumeration paths admit exactly MAX_DUAL_WORDS words
-    for half_cap in (K.MITM_HALF_CAP, 0):
-        monkeypatch.setattr(K, "MITM_HALF_CAP", half_cap)
-        monkeypatch.setattr(S, "MAX_DUAL_WORDS", hn.shape[0] - 1)
-        with pytest.raises(BudgetExceeded):
-            S.enumerate_dual_low_weight(small, spart, 3)
-        monkeypatch.setattr(S, "MAX_DUAL_WORDS", hn.shape[0])
-        assert S.enumerate_dual_low_weight(small, spart, 3)[0].shape[0] == hn.shape[0]
-    # the Gray side refuses codes with more than 2^34 dual words
-    code = C.random_code(60, 20, 1)
-    part = C.Partition(60, np.arange(10))
+    # the enumeration admits exactly MAX_DUAL_WORDS words
+    monkeypatch.setattr(S, "MAX_DUAL_WORDS", hn.shape[0] - 1)
     with pytest.raises(BudgetExceeded):
-        S.enumerate_dual_low_weight(code, part, 5)
+        S.enumerate_dual_low_weight(small, spart, 3)
+    monkeypatch.setattr(S, "MAX_DUAL_WORDS", hn.shape[0])
+    assert S.enumerate_dual_low_weight(small, spart, 3)[0].shape[0] == hn.shape[0]
 
 
 def test_pair_invariants_and_membership():
