@@ -19,14 +19,15 @@ def pack_rows(bits):
     nw = max(1, (n + 63) // 64)
     padded = np.zeros((m, nw * 64), dtype=np.uint8)
     padded[:, :n] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    # one flat run packs faster than packbits along the short row axis
+    return np.packbits(padded.reshape(-1),
+                       bitorder="little").view(np.uint64).reshape(m, nw)
 
 
 def unpack_rows(words, n):
     """Inverse of pack_rows; returns a (m, n) uint8 array."""
-    words = np.atleast_2d(words)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(bits[:, :n])
+    return np.unpackbits(np.atleast_2d(words).view(np.uint8), axis=1,
+                         count=n, bitorder="little")
 
 
 def row_ints(bits):
@@ -57,6 +58,17 @@ def dot_parity(words, yword):
     """Per-row parity of <row, y> for packed rows against one packed word."""
     words = np.atleast_2d(words)
     return (np.bitwise_count(words & yword).astype(np.int64).sum(axis=1) & 1).astype(np.uint8)
+
+
+def xor_rows(bits, words):
+    """The GF(2) product of the (m, r) 0/1 bits with the r packed rows of
+    the (r, W) words: row i of the (m, W) uint64 result is the xor of
+    words[j] over the set bits j of bits[i]."""
+    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    out = np.zeros((bits.shape[0], words.shape[1]), np.uint64)
+    for j in range(bits.shape[1]):
+        out ^= bits[:, j, None] * words[j]
+    return out
 
 
 def xor_closure(rows):
@@ -139,13 +151,16 @@ def wht_inplace(a):
         raise ValueError("length must be a power of two")
     if not a.flags.c_contiguous:
         raise ValueError("array must be contiguous")
+    # (x, y) -> (x + y, x - y) in place on the halves' views; int64
+    # arithmetic wraps mod 2^64, so the result is x + y and x - y on
+    # every input
     h = 1
     while h < n:
         b = a.reshape(-1, 2 * h)
-        x = b[:, :h].copy()
-        y = b[:, h:].copy()
-        b[:, :h] = x + y
-        b[:, h:] = x - y
+        x, y = b[:, :h], b[:, h:]
+        x += y
+        y *= -2
+        y += x
         h *= 2
     return a
 

@@ -311,6 +311,10 @@ def _cmd_survival(args):
                                    sample_budget=ec.get("sample_budget"))
     except DomainError as exc:
         raise ConfigError(f"{where['model']}: {exc}") from exc
+    over = dparams.tables_over_budget(mc["n"], mc["t"], searches=False)
+    if over:
+        raise BudgetExceeded(f"{where['model']}: " + ", ".join(over)
+                             + " over budget before any draw")
     t0 = time.monotonic()
     code = random_code(mc["n"], mc["k"], seed=[seed, 101])
     instance = DecodingInstance.plant(code, mc["t"], seed=[seed, 102])

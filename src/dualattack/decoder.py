@@ -60,6 +60,21 @@ class DoubleRlpnParams:
         if self.k_aux > self.s:
             raise DomainError("need k_aux <= s")
 
+    def tables_over_budget(self, n, t, searches=True):
+        """Names of the tables whose size depends on the parameters alone
+        and exceeds its budget, in the order a trial builds them: the
+        dual enumeration's subset tables, with searches those of both
+        syndrome searches of recover_e, the score table and the auxiliary
+        syndrome table."""
+        s, u = self.s, self.u
+        tables = (
+            ("enumeration", comb_search_fits(n - s, self.w)),
+            ("P-side", not searches or comb_search_fits(s, t - u)),
+            ("N-side", not searches or comb_search_fits(n - s, u)),
+            ("score", self.k_aux <= MAX_SCORE_BITS),
+            ("syndrome", comb(s, self.t_aux) <= MAX_SYNDROME_PATTERNS))
+        return [name + " table" for name, fits in tables if not fits]
+
 
 class BiasEstimate:
     """Exact bias of the LPN noise and the expected pair count."""
@@ -223,14 +238,7 @@ def double_rlpn(instance, params, stats=None):
     n_iter = params.N_iter
     if n_iter is None:
         n_iter = default_n_iter(p_succ(n, params.s, t, params.u))
-    s, u = params.s, params.u
-    over = [name + " table" for name, fits in (
-        ("enumeration", comb_search_fits(n - s, params.w)),
-        ("P-side", comb_search_fits(s, t - u)),
-        ("N-side", comb_search_fits(n - s, u)),
-        ("score", params.k_aux <= MAX_SCORE_BITS),
-        ("syndrome", comb(s, params.t_aux) <= MAX_SYNDROME_PATTERNS))
-        if not fits]
+    over = params.tables_over_budget(n, t)
     if over:
         raise BudgetExceeded(", ".join(over) + " over budget before the first trial")
     for trial in range(n_iter):

@@ -31,7 +31,8 @@ CURVE_LABELS = ("experimental", "poisson", "independence")
 _CHUNK = 4096
 _SLICE = 1024
 MIN_POISSON_TRIALS = 10 ** 4
-# the statistic and its sorted copy take 512 MiB at the cap
+# the statistics take 256 MiB at the cap, twice that while their blocks
+# are joined
 MAX_POISSON_TRIALS = 1 << 25
 
 
@@ -171,10 +172,15 @@ def wilson_interval(hits, trials):
 
 
 def _threshold_grid(values, grid):
-    # at most 512 natural thresholds, taken at quantiles of the values
+    # at most 512 natural thresholds, taken at quantiles of the distinct
+    # values.  Both callers sort values first, so the distinct ones are
+    # those unequal to their predecessor: a mask, not np.unique's copy
     if grid is not None:
         return np.asarray(grid, dtype=np.float64)
-    uniq = np.unique(values)
+    keep = np.empty(values.size, bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    uniq = values[keep]
     if uniq.size <= 512:
         return uniq
     qs = np.linspace(0.0, 1.0, 512)
@@ -245,7 +251,9 @@ def poisson_statistics(nparams, trials, seed=0, n_samples=None):
     with _worker() if nb > 1 else nullcontext() as pool:
         blocks = _split(pool, partial(_poisson_blocks, lam_j, lam_i, kw, kt, seed, trials),
                         range(nb), nb // 2)
-    return np.concatenate([np.empty(0), *blocks]) * scale
+    stats = np.concatenate([np.empty(0), *blocks])
+    stats *= scale
+    return stats
 
 
 def poisson_survival(nparams, trials=10 ** 5, seed=0, n_samples=None,
@@ -254,8 +262,8 @@ def poisson_survival(nparams, trials=10 ** 5, seed=0, n_samples=None,
     expected number of candidates out of 2^k_aux."""
     if trials < MIN_POISSON_TRIALS:
         raise DomainError(f"need at least {MIN_POISSON_TRIALS} trials")
-    stats = np.sort(poisson_statistics(nparams, trials, seed=seed,
-                                       n_samples=n_samples))
+    stats = poisson_statistics(nparams, trials, seed=seed, n_samples=n_samples)
+    stats.sort()
     meta = {
         "axis": "score",
         "pair_expectation": float(nparams.expected_pairs()),
@@ -274,18 +282,22 @@ def poisson_survival(nparams, trials=10 ** 5, seed=0, n_samples=None,
 def independence_survival(nparams, n_samples, grid):
     """Survival curve when scores are sums of n_samples fair signs: the
     exact binomial tail, through the regularized incomplete beta, at
-    every sample count."""
-    from scipy.stats import binom
+    every sample count.
+
+    P[Bin(n, 1/2) > k] is betainc(k + 1, n - k, 1/2) for 0 <= k < n, 1
+    below and 0 from n on: the values and edges of scipy.stats.binom.sf,
+    bit for bit on scipy 1.17.1, without importing scipy.stats."""
+    from scipy.special import betainc
 
     n_samples = int(n_samples)
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
     thresholds = np.asarray(grid, dtype=np.float64)
-    scale = 2.0 ** nparams.k_aux
-    # sf is exactly 1 below 0 and 0 from n_samples on, so a threshold
-    # past either end needs no branch of its own
-    counts = scale * binom.sf(np.ceil((thresholds + n_samples) / 2.0) - 1,
-                              n_samples, 0.5)
+    k = np.ceil((thresholds + n_samples) / 2.0) - 1
+    tail = (k < 0).astype(np.float64)
+    inside = (k >= 0) & (k < n_samples)
+    tail[inside] = betainc(k[inside] + 1, n_samples - k[inside], 0.5)
+    counts = 2.0 ** nparams.k_aux * tail
     meta = {"axis": "score", "samples": float(n_samples)}
     return SurvivalCurve("independence", thresholds, counts, meta=meta)
 
@@ -319,23 +331,27 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
         "pair_expectation": float(expected_pair_count(
             code.n, code.k, params.s, params.w, params.t_aux, params.k_aux)),
     }
-    table = build_f(y, ss, aux.code.generator)
-    scores = np.asarray(wht(table).values, dtype=np.int64)
     ep, _ = part.split(e)
     true_idx = bits_to_index(gf2_matmul(ep.reshape(1, -1),
                                         aux.code.generator.T)[0])
-    wrong = np.delete(scores, true_idx)
+    # the pairs go once the table is built and the table once the wrong
+    # candidates' scores are copied out; those are sorted in place below
+    table = build_f(y, ss, aux.code.generator)
+    del ss
+    wrong = np.delete(wht(table).values, true_idx)
+    del table
     if num_x != "all":
         num_x = int(num_x)
         if not (1 <= num_x <= wrong.size):
             raise DomainError("num_x out of range")
         sub = np.random.default_rng([seed, 3]).choice(
             wrong.size, size=num_x, replace=False)
-        sample = np.sort(wrong[np.sort(sub)])
+        sample = wrong[np.sort(sub)]
         scale = wrong.size / num_x
     else:
-        sample = np.sort(wrong)
+        sample = wrong
         scale = 1.0
+    sample.sort()
     thresholds = _threshold_grid(sample, grid)
     hits = sample.size - np.searchsorted(sample, thresholds, side="left")
     # an exhaustive scan counts exactly, so its band is the count itself

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import dot_parity, pack_rows, row_ints, wht_inplace
-from .codes import as_bits, gf2_matmul, gf2_rref
+from ._kernels import (dot_parity, pack_rows, row_ints, unpack_rows,
+                       wht_inplace, xor_rows)
+from .codes import as_bits, gf2_rref
 from .errors import BudgetExceeded, DomainError, InconsistentAux
 
 
@@ -71,8 +72,11 @@ def message_decompose(caux, g_aux):
     row is outside the row space.
 
     One reduction of [g_aux | I] gives both: its pivots lie in g_aux
-    exactly when the rows are independent, and its right block is then
-    the inverse of g_aux on the pivot columns."""
+    exactly when the rows are independent, and it is then [E g_aux | E]
+    for the inverse E of g_aux on the pivot columns.  So one product of
+    each row's pivot bits with it, on packed words, gives the row's
+    message m (the right block) and m g_aux (the left block), which must
+    be the row itself."""
     g_aux = as_bits(np.atleast_2d(g_aux))
     caux = as_bits(np.atleast_2d(caux))
     k_aux, s = g_aux.shape
@@ -80,10 +84,10 @@ def message_decompose(caux, g_aux):
                                         axis=1))
     if any(p >= s for p in pivots):
         raise DomainError("auxiliary generator rows are dependent")
-    msgs = gf2_matmul(caux[:, pivots], r[:, s:])
-    if np.any(gf2_matmul(msgs, g_aux) != caux):
+    both = unpack_rows(xor_rows(caux[:, pivots], pack_rows(r)), s + k_aux)
+    if np.any(both[:, :s] != caux):
         raise InconsistentAux("codeword outside the generator row space")
-    return msgs
+    return both[:, s:]
 
 
 def build_f(y, samples, g_aux):
@@ -94,15 +98,15 @@ def build_f(y, samples, g_aux):
         raise DomainError("received word length differs from n")
     g_aux = as_bits(np.atleast_2d(g_aux))
     k_aux = g_aux.shape[0]
-    table = FourierTable(k_aux)
     if samples.count == 0:
-        return table
+        return FourierTable(k_aux)
     yp, yn = samples.part.split(y)
     labels = dot_parity(pack_rows(samples.hn), pack_rows(yn)[0]) \
         ^ dot_parity(pack_rows(samples.hp), pack_rows(yp)[0])
-    msgs = message_decompose(samples.caux, g_aux)
-    # k_aux < 64, since the table has 2^k_aux entries
-    idx = pack_rows(msgs)[:, 0].view(np.int64)
+    idx = pack_rows(message_decompose(samples.caux, g_aux))[:, 0].view(np.int64)
+    # allocated once the decomposition's buffers are gone; it refuses
+    # k_aux above MAX_SCORE_BITS, so the first word holds every index
+    table = FourierTable(k_aux)
     # +1 per agreeing label, -1 per other; labels are uint8, so cast
     # before subtracting
     np.add.at(table.values, idx, 1 - 2 * labels.astype(np.int64))

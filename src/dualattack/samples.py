@@ -17,8 +17,8 @@ from math import comb
 import numpy as np
 
 from ._kernels import (KeyTable, _sort_pairs, _subsets, comb_xor_search,
-                       pack_rows, unpack_rows)
-from .codes import as_bits, gf2_matmul, random_code, systematic_form
+                       pack_rows, unpack_rows, xor_rows)
+from .codes import as_bits, random_code, systematic_form
 from .errors import BudgetExceeded, DomainError
 
 # weight-t_aux patterns one syndrome table may hold
@@ -64,8 +64,8 @@ def _decode_rows(aux, z):
     from each row of the (m, s) z, by row and then by the lexicographic
     order of the error support, found with one syndrome-table lookup."""
     table = aux.syndrome_table
-    rows, pat = table.pairs(*table.counts(pack_rows(
-        gf2_matmul(z, aux.code.parity.T))))
+    rows, pat = table.pairs(*table.counts(
+        xor_rows(z, pack_rows(aux.code.parity.T))))
     caux = z[rows]
     caux[np.arange(rows.size)[:, None], aux.supports[pat]] ^= 1
     return rows, caux

@@ -962,8 +962,10 @@ def test_cli_import_leaves_out_scipy_optimize():
 
     src = str(Path(dualattack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    # scipy.special and scipy.stats load on first use, the worker pool of
-    # the exponent optimizer on its first exponent point
+    # scipy.special loads on first use and the worker pool of the
+    # exponent optimizer on its first exponent point; the program never
+    # imports scipy.stats (test_cli runs a whole survival command
+    # without it)
     heavy = ("scipy.optimize", "scipy.special", "scipy.stats", "multiprocessing", "concurrent.futures")
     probe = "import sys, dualattack.cli; print(sorted(set(%r) & set(sys.modules)))" % (heavy,)
     res = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)

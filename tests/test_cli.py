@@ -304,6 +304,52 @@ def test_survival_too_many_trials_exits_1_before_any_draw(trials, tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
 
 
+@pytest.mark.parametrize("model, cap, table", [
+    # SURV_INI's dual enumeration (14 columns, weight 3) needs 128
+    # subset-table entries
+    (SURV_INI.split("\n[experiment]")[0], 100, "enumeration"),
+    # a 2^27-entry score table
+    ("[model]\nn = 48\nk = 44\nt = 1\ns = 42\nu = 0\nw = 1\nk_aux = 27\n"
+     "t_aux = 1\n", None, "score"),
+    # C(40, 7) = 18,643,560 weight-7 auxiliary syndrome patterns
+    ("[model]\nn = 48\nk = 44\nt = 1\ns = 40\nu = 0\nw = 1\nk_aux = 4\n"
+     "t_aux = 7\n", None, "syndrome"),
+], ids=["enumeration", "score", "syndrome"])
+def test_survival_refuses_parameter_tables_before_any_draw(model, cap, table, tmp_path,
+                                                           capsys, monkeypatch):
+    # the tables the experiment builds whose size the parameters alone
+    # fix are checked before the code is drawn, naming the [model] line
+    def refuse(*args, **kwargs):
+        raise AssertionError("the code was drawn")
+
+    monkeypatch.setattr(cli, "random_code", refuse)
+    if cap is not None:
+        monkeypatch.setattr(K, "MITM_HALF_CAP", cap)
+    cfg = tmp_path / "surv.ini"
+    cfg.write_text(model)
+    out = tmp_path / "curves.csv"
+    assert cli.run(["survival", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"budget exceeded: {cfg}:1: {table} table over budget before any draw\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surv.ini"]
+
+
+def test_survival_run_leaves_out_scipy_stats(tmp_path):
+    # the independence curve's binomial tail comes from scipy.special
+    cfg = tmp_path / "surv.ini"
+    cfg.write_text(SURV_INI)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys; from dualattack import cli; "
+             "code = cli.run(['survival', '--config', %r, '--out', %r]); "
+             "print(code, 'scipy.stats' in sys.modules)"
+             % (str(cfg), str(tmp_path / "curves.csv")))
+    res = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "False"]
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "surv.ini"
     cfg.write_text(SURV_INI)

@@ -611,6 +611,59 @@ def test_independence_survival_matches_threshold_loop(n_samples):
     assert curve.counts[0] == 2.0 ** 20 and curve.counts[-1] == 0.0
 
 
+@pytest.mark.parametrize("n_samples", [1, 2, 7, 64, 10 ** 5 + 1, 2 * 10 ** 5])
+def test_independence_tail_matches_binom_sf_bitwise(n_samples):
+    # betainc against scipy.stats.binom.sf, imported here only, at every
+    # k from -2 to n_samples + 1: the threshold 2k + 2 - n_samples asks
+    # for P[Bin > k], 1 for k < 0 and 0 for k >= n_samples
+    from scipy.stats import binom
+
+    mp = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
+    ks = np.arange(-2, n_samples + 2)
+    curve = DU.independence_survival(mp, n_samples, grid=2.0 * ks + 2 - n_samples)
+    want = 2.0 ** 20 * binom.sf(ks, n_samples, 0.5)
+    assert _bits(curve.counts) == _bits(want)
+    assert curve.counts[:2] == [2.0 ** 20] * 2 and curve.counts[-2:] == [0.0] * 2
+
+
+@pytest.mark.parametrize("size, spread", [(0, 1), (1, 1), (2, 1), (2, 2),
+                                          (600, 40), (600, 10 ** 6),
+                                          (5000, 511), (5000, 512),
+                                          (5000, 513)])
+def test_threshold_grid_distinct_values_match_unique(size, spread):
+    # the mask over sorted values against np.unique, on integer scores
+    # and float statistics, below, at and above the 512-value cut
+    rng = np.random.default_rng([size, spread])
+    ints = rng.integers(-spread, spread, size=size)
+    for values in (ints, ints * 0.37):
+        uniq = np.unique(values)
+        if uniq.size > 512:
+            uniq = np.unique(np.quantile(uniq, np.linspace(0.0, 1.0, 512),
+                                         method="nearest"))
+        got = DU._threshold_grid(np.sort(values), None)
+        assert got.dtype == uniq.dtype and got.tobytes() == uniq.tobytes()
+
+
+def test_experimental_survival_memory_guard():
+    # tracemalloc counts numpy's buffers exactly, where the resident set
+    # also counts the allocator's pages.  The criterion-3 experiment
+    # (2^20 scores, 65536 pairs) holds at most the score table and the
+    # wrong candidates' scores at once, and peaks below three tables
+    import tracemalloc
+
+    code = C.random_code(60, 30, seed=[11, 101])
+    inst = C.DecodingInstance.plant(code, 8, seed=[11, 102])
+    p = DoubleRlpnParams(s=28, u=8, w=5, k_aux=20, t_aux=2, sample_budget=65536)
+    tracemalloc.start()
+    try:
+        curve = DU.experimental_survival(inst, p, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.meta["samples"] == 65536.0
+    assert peak < 3 * 8 * 2 ** 20
+
+
 @pytest.mark.parametrize("trials", [1, 7, 50, 65536, 10 ** 5])
 def test_wilson_interval_matches_scalar_form(trials):
     hits = np.arange(trials + 1)

@@ -143,6 +143,38 @@ def test_message_decompose_recovers_messages(seed):
     assert np.array_equal(got, msgs)
 
 
+def _matmul_decompose(caux, g):
+    # the float BLAS form message_decompose replaced: (messages, whether
+    # some row is outside the row space)
+    k, s = g.shape
+    r, pivots = C.gf2_rref(np.concatenate([g, np.eye(k, dtype=np.uint8)],
+                                          axis=1))
+    msgs = C.gf2_matmul(caux[:, pivots], r[:, s:])
+    return msgs, bool(np.any(C.gf2_matmul(msgs, g) != caux))
+
+
+@pytest.mark.parametrize("k, s", [(1, 3), (4, 9), (8, 16), (20, 28), (30, 70),
+                                  (66, 70)])
+def test_message_decompose_matches_matmul_form(k, s):
+    # bit for bit on codewords, messages and rows past one 64-bit word,
+    # and the same refusal once one row leaves the row space
+    rng = np.random.default_rng([k, s])
+    g = np.zeros((k, s), np.uint8)
+    while len(C.gf2_rref(g)[1]) < k:
+        g = rng.integers(0, 2, size=(k, s), dtype=np.uint8)
+    caux = C.gf2_matmul(rng.integers(0, 2, size=(300, k), dtype=np.uint8), g)
+    want, outside = _matmul_decompose(caux, g)
+    assert not outside
+    got = F.message_decompose(caux, g)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    bad = caux.copy()
+    bad[137] ^= C.gf2_nullspace(g)[0]
+    assert _matmul_decompose(bad, g)[1]
+    with pytest.raises(InconsistentAux):
+        F.message_decompose(bad, g)
+
+
 @pytest.mark.parametrize("k_aux,count", [(1, 300), (8, 3000), (20, 65536),
                                          (8, 0)])
 def test_build_f_matches_bincount_table(k_aux, count):

@@ -10,11 +10,17 @@ from dualattack import _kernels as K
 from dualattack.errors import BudgetExceeded
 
 
-@given(st.integers(1, 6), st.integers(1, 150), st.integers(0, 2**32 - 1))
+@given(st.integers(0, 6), st.integers(0, 150), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_pack_unpack_roundtrip(m, n, seed):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    # the flat packing against packbits along each zero-padded row
+    padded = np.zeros((m, 64 * max(1, -(-n // 64))), np.uint8)
+    padded[:, :n] = bits
+    want = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    got = K.pack_rows(bits)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert np.array_equal(K.unpack_rows(K.pack_rows(bits), n), bits)
     assert np.array_equal(K.ints_to_rows(K.row_ints(bits), n), bits)
 
@@ -94,6 +100,41 @@ def test_wht_matches_definition():
         acc = sum(int(f[a]) * (-1 if bin(x & a).count("1") & 1 else 1)
                   for a in range(1 << m))
         assert acc == fh[x]
+
+
+def _copy_butterfly(a):
+    # the butterfly wht_inplace replaced: both halves copied out, their
+    # sum and difference written back
+    n, h = a.shape[0], 1
+    while h < n:
+        b = a.reshape(-1, 2 * h)
+        x = b[:, :h].copy()
+        y = b[:, h:].copy()
+        b[:, :h] = x + y
+        b[:, h:] = x - y
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("logn", [0, 1, 2, 3, 8, 13, 20])
+def test_wht_inplace_matches_copy_butterfly(logn):
+    # bit for bit, also on entries whose sums wrap around 2^64
+    rng = np.random.default_rng(logn)
+    for bound in (2 ** 40, 2 ** 63):
+        a = rng.integers(-bound, bound, size=1 << logn)
+        assert np.array_equal(K.wht_inplace(a.copy()), _copy_butterfly(a.copy()))
+
+
+@given(st.integers(0, 40), st.integers(0, 70), st.integers(0, 130),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_xor_rows_is_the_gf2_product(m, r, n, seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(m, r), dtype=np.uint8)
+    mat = rng.integers(0, 2, size=(r, n), dtype=np.uint8)
+    got = K.xor_rows(bits, K.pack_rows(mat))
+    want = K.pack_rows((bits.astype(np.int64) @ mat) & 1)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
 def test_wht_rejects_bad_input():
