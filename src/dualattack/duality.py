@@ -199,16 +199,23 @@ def model_intensities(nparams):
     return lam_j, lam_i
 
 
+def _weight_classes(coef, lam):
+    # weights grouped by Krawtchouk value, intensities summed, value 0 dropped
+    vals, cls = np.unique(coef, return_inverse=True)
+    keep = vals != 0
+    return vals[keep], np.bincount(cls, lam)[keep]
+
+
 def _poisson_blocks(lam_j, lam_i, kw, kt, seed, trials, blocks):
     # the raw statistics of the blocks in range blocks, one array each: block
-    # b holds trials b _CHUNK on and draws from its own generator [seed, b].
+    # b holds trials b _CHUNK on and draws from its own generator [seed, b, 1].
     # A zero mean draws nothing, so rows with nj = 0 are skipped, and the
     # rows' cells are drawn _SLICE rows at a time, which keeps the stream
     # order; the cell sums are integers below 2^53, exact in any order
     out = []
     for b in blocks:
         m = min(_CHUNK, trials - b * _CHUNK)
-        rng = np.random.default_rng([seed, b])
+        rng = np.random.default_rng([seed, b, 1])
         nj = rng.poisson(lam=np.broadcast_to(lam_j, (m, lam_j.size)))
         trial, j = np.nonzero(nj)
         cells = np.empty(trial.size, np.float64)
@@ -227,10 +234,13 @@ def poisson_statistics(nparams, trials, seed=0, n_samples=None):
     the statistic is the Krawtchouk-weighted cell sum over 2^(k-k_aux).
     When n_samples is given the score is rescaled by
     n_samples / E[pairs], putting a subsampled experiment on the same
-    axis.
+    axis.  Weight classes that share a Krawtchouk value (j and s - j for
+    t_aux = 2) are drawn as one Poisson of their summed intensity, which
+    is exact in law, and classes of value 0 are not drawn at all.
 
     The trials are drawn in blocks of _CHUNK, block b from its own
-    generator default_rng([seed, b]), so each block's draws depend only on
+    generator default_rng([seed, b, 1]), which no other draw of a survival
+    run uses, so each block's draws depend only on
     the parameters, the seed, b and the block's length.  On a machine with
     two or more cores and fork, a forked worker draws the first half of
     the blocks while this process draws the rest, through the exponent
@@ -242,8 +252,8 @@ def poisson_statistics(nparams, trials, seed=0, n_samples=None):
         raise BudgetExceeded(f"{trials} Poisson trials exceed {MAX_POISSON_TRIALS}")
     np_ = nparams
     lam_j, lam_i = model_intensities(nparams)
-    kw = KrawtchoukTable(np_.n - np_.s, np_.w).as_float()
-    kt = KrawtchoukTable(np_.s, np_.t_aux).as_float()
+    kt, lam_j = _weight_classes(KrawtchoukTable(np_.s, np_.t_aux).as_float(), lam_j)
+    kw, lam_i = _weight_classes(KrawtchoukTable(np_.n - np_.s, np_.w).as_float(), lam_i)
     scale = 1.0 / 2.0 ** (np_.k - np_.k_aux)
     if n_samples is not None:
         scale *= float(n_samples) / float(np_.expected_pairs())

@@ -350,6 +350,47 @@ def test_survival_run_leaves_out_scipy_stats(tmp_path):
     assert res.stdout.split() == ["0", "False"]
 
 
+def test_survival_model_keys_are_its_own(tmp_path, monkeypatch):
+    # every generator of a survival run, in cli, the experiment (with a
+    # budget and a num_x subsample) and the Poisson model, is recorded by
+    # its key; keys are compared by their seed sequences' state, which
+    # equates keys that differ only by trailing zeros.  No key of the
+    # model's blocks may be one of the others'
+    from dualattack import asymptotics as A
+    from dualattack import duality as DU
+
+    make, blocks = np.random.default_rng, DU._poisson_blocks
+    keys, in_model = {"model": [], "other": []}, []
+
+    def recording(key):
+        keys["model" if in_model else "other"].append(key)
+        return make(key)
+
+    def model_blocks(*args):
+        in_model.append(True)
+        try:
+            return blocks(*args)
+        finally:
+            in_model.pop()
+
+    monkeypatch.setattr(A, "_cores", lambda: 1)
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(DU, "_poisson_blocks", model_blocks)
+    cfg = tmp_path / "surv.ini"
+    cfg.write_text(SURV_INI + "num_x = 5\nsample_budget = 8\n")
+    assert cli.run(["survival", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    meta = json.loads((tmp_path / "c.meta.json").read_text())["curves"]["experimental"]
+    assert meta["complete"] is False and meta["num_x"] == 5
+
+    def state(key):
+        return tuple(np.random.SeedSequence(key).generate_state(4))
+
+    model = {state(k) for k in keys["model"]}
+    assert len(model) == len(keys["model"]) == 5
+    assert len(keys["other"]) >= 6
+    assert model.isdisjoint(state(k) for k in keys["other"])
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "surv.ini"
     cfg.write_text(SURV_INI)

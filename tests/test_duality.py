@@ -194,9 +194,12 @@ def test_poisson_statistic_centered():
 
 SMALL = dict(n=24, k=12, t=3, s=10, u=2, w=4, k_aux=5, t_aux=1)
 DESK = dict(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
+README = dict(n=40, k=20, t=5, s=16, u=3, w=5, k_aux=8, t_aux=1)
+EVEN = dict(n=30, k=15, t=4, s=12, u=2, w=4, k_aux=6, t_aux=2)
 
 
-@pytest.mark.parametrize("model, trials", [(SMALL, 4 * 10 ** 4), (DESK, 2 * 10 ** 4)])
+@pytest.mark.parametrize("model, trials", [(SMALL, 4 * 10 ** 4), (DESK, 2 * 10 ** 4),
+                                           (README, 4 * 10 ** 4)])
 def test_poisson_statistic_variance_matches_closed_form(model, trials):
     # given N_j, the row's Krawtchouk sum has mean 0 and variance
     # N_j sum_i kw_i^2 lam_i, and the rows are independent, so the statistic
@@ -212,37 +215,136 @@ def test_poisson_statistic_variance_matches_closed_form(model, trials):
     assert abs(x2.mean() - want) <= 4 * math.sqrt(x2.var() / trials)
 
 
-def _poisson_dense(nparams, trials, seed):
-    # the model drawn over every cell of every row, block b from its own
-    # generator [seed, b]
-    lam_j, lam_i = DU.model_intensities(nparams)
-    kw = np.array(KrawtchoukTable(nparams.n - nparams.s, nparams.w).values, dtype=np.float64)
-    kt = np.array(KrawtchoukTable(nparams.s, nparams.t_aux).values, dtype=np.float64)
+def _dense(nparams, trials, kt, lam_j, kw, lam_i, key):
+    # the model drawn over every cell of every row, block b from the
+    # generator key(b)
     out = []
     for b, done in enumerate(range(0, trials, DU._CHUNK)):
         m = min(DU._CHUNK, trials - done)
-        rng = np.random.default_rng([seed, b])
+        rng = np.random.default_rng(key(b))
         nj = rng.poisson(lam=np.broadcast_to(lam_j, (m, lam_j.size)))
         nij = rng.poisson(lam=nj[:, :, None] * lam_i[None, None, :])
         out.append((nij * kt[None, :, None] * kw[None, None, :]).sum(axis=(1, 2)))
     return np.concatenate(out) / 2.0 ** (nparams.k - nparams.k_aux)
 
 
+def _classes(values, lam):
+    # the weights grouped by Krawtchouk value, in ascending value, with
+    # their intensities summed in ascending weight; the value 0 dropped
+    vals = sorted({v for v in values if v != 0})
+    sums = [0.0] * len(vals)
+    for v, x in zip(values, lam):
+        if v != 0:
+            sums[vals.index(v)] += x
+    return np.array(vals, dtype=np.float64), np.array(sums)
+
+
+def _poisson_dense(nparams, trials, seed):
+    # the per-weight reference: a cell for every weight pair (i, j), block b
+    # from the generator [seed, b]
+    lam_j, lam_i = DU.model_intensities(nparams)
+    kt = np.array(KrawtchoukTable(nparams.s, nparams.t_aux).values, dtype=np.float64)
+    kw = np.array(KrawtchoukTable(nparams.n - nparams.s, nparams.w).values, dtype=np.float64)
+    return _dense(nparams, trials, kt, lam_j, kw, lam_i, lambda b: [seed, b])
+
+
+def _poisson_dense_merged(nparams, trials, seed):
+    # a cell for every pair of merged classes, block b from the generator
+    # [seed, b, 1]
+    lam_j, lam_i = DU.model_intensities(nparams)
+    return _dense(nparams, trials,
+                  *_classes(KrawtchoukTable(nparams.s, nparams.t_aux).values, lam_j),
+                  *_classes(KrawtchoukTable(nparams.n - nparams.s, nparams.w).values, lam_i),
+                  lambda b: [seed, b, 1])
+
+
 def test_poisson_statistics_match_dense_draws():
-    # skipping rows with no pairs and drawing the rest in slices leaves the
-    # random stream and the sums as they are: a zero mean draws nothing,
+    # merging the weight classes, skipping rows with no pairs and drawing
+    # the rest in slices leaves the random stream and the sums of the dense
+    # draws over the merged classes as they are: a zero mean draws nothing,
     # and the sums are exact integers
     small, desk = DU.ModelParams(**SMALL), DU.ModelParams(**DESK)
     for mp, trials in ((small, DU._CHUNK + 900), (desk, 1500)):
         for seed in (0, 5, 11):
-            assert np.array_equal(DU.poisson_statistics(mp, trials, seed=seed), _poisson_dense(mp, trials, seed))
+            assert np.array_equal(DU.poisson_statistics(mp, trials, seed=seed),
+                                  _poisson_dense_merged(mp, trials, seed))
 
 
 def test_poisson_statistics_frozen_stream():
     # pins the per-block streams, over three full blocks and a partial one
     x = DU.poisson_statistics(DU.ModelParams(**DESK), 3 * DU._CHUNK + 5, seed=11)
     assert hashlib.sha256(x.tobytes()).hexdigest() == \
-        "8259b377eeda5e46f01638aba453f2d4eafdefbe54f02c132b516fdc5529d2a0"
+        "8b2bdd764555c177dfe30e81a103f07653d5933950a9e85cc5f9511d6cf437fe"
+
+
+def _ks_distance(a, b):
+    # the two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|, with ties
+    a, b = np.sort(a), np.sort(b)
+    v = np.concatenate([a, b])
+    return np.abs(np.searchsorted(a, v, "right") / a.size
+                  - np.searchsorted(b, v, "right") / b.size).max()
+
+
+@pytest.mark.parametrize("model", [SMALL, DESK, README, EVEN])
+def test_poisson_statistics_match_per_weight_draws_in_law(model):
+    # merged classes against the per-weight reference at 5 10^4 trials a
+    # side, on keys that share no state: the two-sample KS statistic must
+    # stay below its alpha = 10^-3 critical value
+    # sqrt(-ln(alpha / 2) / 2) sqrt(2 / n) = 1.9495 sqrt(2 / n), which is
+    # conservative for these discrete laws
+    mp, n = DU.ModelParams(**model), 5 * 10 ** 4
+    d = _ks_distance(DU.poisson_statistics(mp, n, seed=0), _poisson_dense(mp, n, seed=0))
+    assert d < math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / n)
+
+
+@pytest.mark.parametrize("model", [SMALL, DESK, README, EVEN])
+def test_weight_classes_keep_the_cumulant_generating_function(model):
+    # the raw statistic's log E[exp(theta X)] is
+    # sum_j lam_j expm1(sum_i lam_i expm1(theta kt_j kw_i)); it must be the
+    # same over the weights and over the merged classes, at theta of both
+    # signs with |theta kt kw| <= 1
+    mp = DU.ModelParams(**model)
+    lam_j, lam_i = DU.model_intensities(mp)
+    kt = KrawtchoukTable(mp.s, mp.t_aux).as_float()
+    kw = KrawtchoukTable(mp.n - mp.s, mp.w).as_float()
+    kt_g, lam_g = DU._weight_classes(kt, lam_j)
+    kw_h, lam_h = DU._weight_classes(kw, lam_i)
+    assert kt_g.size < kt.size and kw_h.size < kw.size
+    assert np.all(kt_g != 0) and np.all(kw_h != 0)
+    top = np.abs(kt).max() * np.abs(kw).max()
+
+    def cgf(theta, kt, lam_j, kw, lam_i):
+        inner = np.expm1(theta * kt[:, None] * kw[None, :]) @ lam_i
+        return math.fsum(lam_j * np.expm1(inner))
+
+    for c in (1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.1, -0.1):
+        want = cgf(c / top, kt, lam_j, kw, lam_i)
+        assert cgf(c / top, kt_g, lam_g, kw_h, lam_h) == pytest.approx(want, rel=1e-12)
+
+
+class _CountingRng:
+    # a generator that counts the Poisson variates of positive mean it
+    # draws: a zero mean draws nothing from the stream
+    def __init__(self, rng, tally):
+        self.rng, self.tally = rng, tally
+
+    def poisson(self, lam):
+        self.tally.append(int(np.count_nonzero(np.asarray(lam) > 0)))
+        return self.rng.poisson(lam=lam)
+
+
+def test_poisson_statistics_draw_at_most_six_tenths_of_the_per_weight_variates(monkeypatch):
+    # at DESK over 3 blocks the merged classes draw 3.57 M variates against
+    # the per-weight reference's 6.47 M
+    monkeypatch.setattr(A, "_cores", lambda: 1)
+    make = np.random.default_rng
+    merged, per_weight = [], []
+    mp, trials = DU.ModelParams(**DESK), 3 * DU._CHUNK
+    monkeypatch.setattr(DU.np.random, "default_rng", lambda key: _CountingRng(make(key), merged))
+    DU.poisson_statistics(mp, trials, seed=0)
+    monkeypatch.setattr(DU.np.random, "default_rng", lambda key: _CountingRng(make(key), per_weight))
+    _poisson_dense(mp, trials, seed=0)
+    assert 0 < sum(merged) <= 0.6 * sum(per_weight)
 
 
 @pytest.mark.parametrize("trials", [1000, 3 * DU._CHUNK, 3 * DU._CHUNK + 5])
