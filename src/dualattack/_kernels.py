@@ -272,9 +272,8 @@ def comb_xor_search_many(cols, targets, t, max_hits=1 << 22):
     them, in chunks of at most CHUNK_CELLS target x left-row cells.  Words
     wider than 64 bits are matched by their rank among the distinct xors
     of both parts.  Raises BudgetExceeded when the tables exceed
-    MITM_HALF_CAP entries, or when more than max_hits tuples solve one
-    target; the error's owner is then the row of the first such target,
-    whatever the chunks."""
+    MITM_HALF_CAP entries, or when more than max_hits tuples solve any
+    one target; the cap holds per target, not for the stack."""
     cols = np.asarray(cols, dtype=np.uint64)
     if cols.ndim == 1:
         cols = cols[:, None]
@@ -305,20 +304,15 @@ def comb_xor_search_many(cols, targets, t, max_hits=1 << 22):
         table = KeyTable(np.bitwise_xor.reduce(cols[right], axis=1))
         step = max(1, CHUNK_CELLS // nl)
         for a in range(0, ntg, step):
-            # row j * nl + i is left subset i against target a + j; a
-            # target over max_hits here is the first one over, since the
-            # chunks before have none and the splits add in order
+            # row j * nl + i is left subset i against target a + j
             lo, cnt = table.counts((lx ^ tgt[a:a + step]).reshape(-1, nw))
             if not cnt.any():
                 continue
             chunk = hits[a:a + step]
             chunk += cnt.reshape(-1, nl).sum(axis=1)
-            over = np.flatnonzero(chunk > max_hits)
-            if over.size:
-                err = BudgetExceeded("solution count exceeds max_hits=%d"
+            if chunk.max() > max_hits:
+                raise BudgetExceeded("solution count exceeds max_hits=%d"
                                      % max_hits)
-                err.owner = a + int(over[0])
-                raise err
             li, ri = table.pairs(lo, cnt)
             owner, li = np.divmod(li, nl)
             owners.append(owner + a)

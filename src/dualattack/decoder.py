@@ -128,11 +128,11 @@ def syndrome_decode_all(parity, syndromes, t):
     return owner, out
 
 
-def solve_subproblem(code, part, y, vs, u, sf):
+def solve_subproblem(part, y, vs, u, sf):
     """Decode y_N - (y_P - v) R at exact distance u in the shortened code
     generated by Rprime, for each row v of vs (or one v); returns
     (owner, e_ns) as syndrome_decode_all does.  sf is the systematic form
-    of code against part."""
+    of the code against part."""
     y = as_bits(y).reshape(-1)
     vs = as_bits(np.atleast_2d(vs))
     if vs.shape[1] != part.s:
@@ -147,37 +147,21 @@ def solve_subproblem(code, part, y, vs, u, sf):
 MAX_TUPLES = 1 << 20
 
 
-def _first_word(decode, count, finish):
-    """finish(owner, words) of decode(count), which solves targets 0 to
-    count - 1 as (owner, words): the first word finish makes of the
-    solutions, or None.  When target j has too many solutions, the
-    targets before it are tried alone, and the error stands only when
-    none of them gives a word, as a walk one target at a time would."""
-    if not count:
-        return None
-    try:
-        owner, words = decode(count)
-    except BudgetExceeded as err:
-        e = _first_word(decode, err.owner or 0, finish)
-        if e is None:
-            raise
-        return e
-    return finish(owner, words)
-
-
 def recover_e(candidate_sets, g_aux_list, part, y, code, t, u, sf):
-    """Walk candidate tuples best-score first (itertools.product order of
-    the score-sorted sets), decode each stacked syndrome to weight t-u on
-    the P side, finish each solution v on the N side; return the first
-    verified error word.  sf is the systematic form of code against part.
+    """Decode the stacked syndrome of each candidate tuple (itertools.product
+    order of the score-sorted sets, best score first) to weight t-u on the
+    P side, finish each solution v on the N side; return the first
+    verified error word in (tuple, support) order, or None.  sf is the
+    systematic form of code against part.
 
     One syndrome_decode_all call decodes the stacked syndromes of all the
     tuples, and one solve_subproblem call decodes the shortened-code
     syndromes of all their v at weight u; the kernel bounds the memory of
-    each.  The v's are taken in (tuple, support) order, each with its
-    first N-side solution, so this returns the word a walk one tuple at a
-    time would.  Raises BudgetExceeded when there are more than
-    MAX_TUPLES tuples."""
+    each.  Each v is finished with its first N-side solution, so this
+    returns the word a walk one tuple at a time would.  Raises
+    BudgetExceeded when there are more than MAX_TUPLES tuples, or when a
+    syndrome of either search has more than the kernel's max_hits
+    solutions, whatever the earlier tuples would give."""
     n_aux = len(candidate_sets)
     if len(g_aux_list) != n_aux:
         raise DomainError("one generator per candidate set")
@@ -196,23 +180,14 @@ def recover_e(candidate_sets, g_aux_list, part, y, code, t, u, sf):
                            for m, d, g in zip(members, digits, g_aux_list)],
                           axis=1)
     y = as_bits(y).reshape(-1)
-
-    def finish_p(_, vs):
-        def finish_n(owner, e_ns):
-            rows, first = np.unique(owner, return_index=True)
-            for j, r in zip(rows.tolist(), first.tolist()):
-                e = part.merge(vs[j], e_ns[r])
-                if int(e.sum()) == t and code.contains(y ^ e):
-                    return e
-            return None
-
-        return _first_word(
-            lambda b: solve_subproblem(code, part, y, vs[:b], u, sf),
-            vs.shape[0], finish_n)
-
-    return _first_word(
-        lambda b: syndrome_decode_all(stacked, synd[:b], t - u), total,
-        finish_p)
+    _, vs = syndrome_decode_all(stacked, synd, t - u)
+    owner, e_ns = solve_subproblem(part, y, vs, u, sf)
+    rows, first = np.unique(owner, return_index=True)
+    for j, r in zip(rows.tolist(), first.tolist()):
+        e = part.merge(vs[j], e_ns[r])
+        if int(e.sum()) == t and code.contains(y ^ e):
+            return e
+    return None
 
 
 def double_rlpn(instance, params, stats=None):

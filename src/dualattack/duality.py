@@ -315,10 +315,12 @@ def independence_survival(nparams, n_samples, grid):
 def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
     """Observed wrong-candidate survival on one planted instance.
 
-    Draws partitions until the planted split matches the bet, builds one
-    auxiliary code and sample set (honouring params.sample_budget), runs
-    the transform, and counts candidates at or above each threshold with
-    the planted secret excluded.  With no pairs every candidate scores 0.
+    Draws partitions until the planted split matches the bet (try i from
+    default_rng([seed, i, 2]), a key family no other draw of a survival
+    run uses), builds one auxiliary code and sample set (honouring
+    params.sample_budget), runs the transform, and counts candidates at
+    or above each threshold with the planted secret excluded.  With no
+    pairs every candidate scores 0.
     """
     code, y, t = instance.code, instance.y, instance.t
     if instance.planted_e is None:
@@ -327,7 +329,7 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
     e = as_bits(instance.planted_e).reshape(-1)
     part, sf = draw_partition(
         code, params.s,
-        (np.random.default_rng([seed, tries]) for tries in range(10000)),
+        (np.random.default_rng([seed, tries, 2]) for tries in range(10000)),
         accept=lambda cand: int(cand.split(e)[1].sum()) == params.u)
     if part is None:
         raise DomainError("no partition matches the planted split")

@@ -6,12 +6,7 @@ class DualAttackError(Exception):
 
 
 class BudgetExceeded(DualAttackError):
-    """An enumeration or table would exceed its configured size budget.
-
-    owner is the row of a target over its own budget in a multi-target
-    search, and None when the budget is not one target's."""
-
-    owner = None
+    """An enumeration or table would exceed its configured size budget."""
 
 
 class RankDeficient(DualAttackError):

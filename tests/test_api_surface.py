@@ -170,3 +170,38 @@ def test_optional_parameters_have_a_caller():
                        for npos, kws in calls.get(name, ())):
                 unpassed.add("%s(%s)" % (name, param))
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
+# a parameter its function's body never names, kept on purpose
+UNREAD_PARAMETERS = {
+    "exponent_curve(seed)": "no exponent point draws a random number, but "
+                            "the benchmark's exponent-point still passes it",
+}
+
+
+def _unread_parameters(path):
+    # "name(param)" for every parameter of a function, method or lambda
+    # that its body never names, leaving out names starting with "_" and
+    # a method's receiver, which its class's protocol fixes
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Lambda):
+            name, body = "lambda", [node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+        else:
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        named = {n for stmt in body for n in _names(stmt)}
+        for arg in params:
+            if arg.arg not in named and not (arg.arg.startswith("_")
+                                             or arg.arg in ("self", "cls")):
+                yield "%s(%s)" % (name, arg.arg)
+
+
+def test_parameters_are_read():
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        unread.update(_unread_parameters(path))
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)

@@ -196,7 +196,7 @@ def test_solve_subproblem_planted():
     for seed in range(5):
         code, part, sf, e, y = _planted_split(24, 12, 10, 2, 3, seed)
         ep, en = part.split(e)
-        owner, sols = D.solve_subproblem(code, part, y, ep, 2, sf=sf)
+        owner, sols = D.solve_subproblem(part, y, ep, 2, sf=sf)
         assert owner.size and not owner.any()
         got = sols[0]
         assert int(got.sum()) == 2
@@ -212,14 +212,14 @@ def test_solve_subproblem_planted():
 def test_solve_subproblem_weight_zero():
     code, part, sf, e, y = _planted_split(18, 9, 8, 0, 2, 11)
     ep, _ = part.split(e)
-    owner, got = D.solve_subproblem(code, part, y, ep, 0, sf=sf)
+    owner, got = D.solve_subproblem(part, y, ep, 0, sf=sf)
     assert owner.tolist() == [0] and not got.any()
     # flip one N-side bit of y so y' leaves the shortened code
     bad = y.copy()
     bad[part.npos[0]] ^= 1
-    assert len(D.solve_subproblem(code, part, bad, ep, 0, sf=sf)[0]) == 0
+    assert len(D.solve_subproblem(part, bad, ep, 0, sf=sf)[0]) == 0
     with pytest.raises(DomainError):
-        D.solve_subproblem(code, part, y, np.zeros((1, 7), np.uint8), 0,
+        D.solve_subproblem(part, y, np.zeros((1, 7), np.uint8), 0,
                            sf=sf)
 
 
@@ -227,10 +227,10 @@ def test_solve_subproblem_random_v_mostly_absent():
     code, part, sf, e, y = _planted_split(24, 12, 10, 2, 3, 17)
     rng = np.random.default_rng(99)
     vs = rng.integers(0, 2, size=(200, part.s), dtype=np.uint8)
-    owner, sols = D.solve_subproblem(code, part, y, vs, 2, sf=sf)
+    owner, sols = D.solve_subproblem(part, y, vs, 2, sf=sf)
     # one batch equals one call per v
     for j in (0, 1, 57, 199):
-        o1, s1 = D.solve_subproblem(code, part, y, vs[j], 2, sf=sf)
+        o1, s1 = D.solve_subproblem(part, y, vs[j], 2, sf=sf)
         assert np.array_equal(sols[owner == j], s1) and not o1.any()
     # about C(14,2) 2^(12-24) of the v draws should decode
     assert len(set(owner.tolist())) < 20
@@ -282,32 +282,39 @@ def test_recover_e_tuple_budget(monkeypatch):
 def _recover_e_reference(candidate_sets, g_aux_list, part, y, code, t, u,
                          sf, max_hits=1 << 22):
     """recover_e as one search per candidate tuple and one per P-side
-    solution v, in the order the batched walk must reproduce."""
+    solution v, in (tuple, support) order: (outcome, early), where the
+    outcome is the first verified word, None, or "budget" when any of the
+    searches goes over max_hits, and early says whether a verified word
+    comes before the first search that goes over."""
     stacked = np.concatenate(g_aux_list)
     p_cols = K.pack_rows(stacked.T)
     hn = sf.shortened_parity
     n_cols = K.pack_rows(hn.T)
     yp, yn = part.split(y)
-    for tup in itertools.product(*[cs.indices() for cs in candidate_sets]):
-        synd = [(ui >> j) & 1 for ui, g in zip(tup, g_aux_list)
-                for j in range(g.shape[0])]
-        idx = K.comb_xor_search(p_cols, K.pack_rows(synd)[0], t - u,
-                                max_hits)
-        for sup in idx:
-            v = np.zeros(part.s, np.uint8)
-            v[sup] = 1
-            yprime = yn ^ C.gf2_matmul((yp ^ v).reshape(1, -1), sf.r)[0]
-            synd_n = C.gf2_matmul(yprime.reshape(1, -1), hn.T)[0]
-            sols = K.comb_xor_search(n_cols, K.pack_rows(synd_n)[0], u,
-                                     max_hits)
-            if not len(sols):
-                continue
-            e_n = np.zeros(code.n - part.s, np.uint8)
-            e_n[sols[0]] = 1
-            e = part.merge(v, e_n)
-            if int(e.sum()) == t and code.contains(y ^ e):
-                return e
-    return None
+    first = None
+    try:
+        for tup in itertools.product(*[cs.indices() for cs in candidate_sets]):
+            synd = [(ui >> j) & 1 for ui, g in zip(tup, g_aux_list)
+                    for j in range(g.shape[0])]
+            idx = K.comb_xor_search(p_cols, K.pack_rows(synd)[0], t - u,
+                                    max_hits)
+            for sup in idx:
+                v = np.zeros(part.s, np.uint8)
+                v[sup] = 1
+                yprime = yn ^ C.gf2_matmul((yp ^ v).reshape(1, -1), sf.r)[0]
+                synd_n = C.gf2_matmul(yprime.reshape(1, -1), hn.T)[0]
+                sols = K.comb_xor_search(n_cols, K.pack_rows(synd_n)[0], u,
+                                         max_hits)
+                if first is not None or not len(sols):
+                    continue
+                e_n = np.zeros(code.n - part.s, np.uint8)
+                e_n[sols[0]] = 1
+                e = part.merge(v, e_n)
+                if int(e.sum()) == t and code.contains(y ^ e):
+                    first = e.tobytes()
+    except C.BudgetExceeded:
+        return "budget", first is not None
+    return first, first is not None
 
 
 def _outcome(fn):
@@ -320,9 +327,10 @@ def _outcome(fn):
 
 def test_recover_e_matches_one_search_per_candidate(monkeypatch):
     """240 random instances: N_aux 1 and 2, planted and wrong candidates,
-    kernel chunks of one to a few targets, and a per-target hit cap of 5
-    that a tuple goes over before or after the first verified one."""
-    seen = {"found": 0, "none": 0, "budget": 0, "found_past_cap": 0,
+    kernel chunks of one to a few targets, and a per-target hit cap of 5,
+    which skips the trial even when a verified word comes before the
+    search that goes over it."""
+    seen = {"found": 0, "none": 0, "budget": 0, "budget_past_word": 0,
             "v_without_n_side": 0}
     for i in range(240):
         rng = np.random.default_rng([900, i])
@@ -343,8 +351,8 @@ def test_recover_e_matches_one_search_per_candidate(monkeypatch):
             sets.append(CandidateSet(k_aux, 0, list(zip(idx.tolist(),
                                                         scores.tolist()))))
         cap = 5 if i % 4 < 2 else 1 << 22
-        ref = _outcome(lambda: _recover_e_reference(
-            sets, gens, part, y, code, 3, u, sf, max_hits=cap))
+        ref, early = _recover_e_reference(sets, gens, part, y, code, 3, u, sf,
+                                          max_hits=cap)
         with monkeypatch.context() as m:
             m.setattr(D, "comb_xor_search_many", functools.partial(
                 K.comb_xor_search_many, max_hits=cap))
@@ -356,13 +364,14 @@ def test_recover_e_matches_one_search_per_candidate(monkeypatch):
         assert got == ref, i
         seen["budget" if ref == "budget" else
              "none" if ref is None else "found"] += 1
-        # does some tuple's stacked syndrome go over the cap?
+        # a walk that stopped at its first verified word would return one
+        # here, but a later search goes over the cap
+        if ref == "budget" and early:
+            seen["budget_past_word"] += 1
         synd = [np.concatenate([F.index_to_bits(x, k_aux) for x in tup])
                 for tup in itertools.product(*[c.indices() for c in sets])]
-        owner, vs = D.syndrome_decode_all(np.concatenate(gens), synd, 3 - u)
-        if isinstance(ref, bytes) and np.bincount(owner).max(initial=0) > cap:
-            seen["found_past_cap"] += 1
-        if len(vs) > len(set(D.solve_subproblem(code, part, y, vs, u,
+        _, vs = D.syndrome_decode_all(np.concatenate(gens), synd, 3 - u)
+        if len(vs) > len(set(D.solve_subproblem(part, y, vs, u,
                                                 sf=sf)[0].tolist())):
             seen["v_without_n_side"] += 1
     assert min(seen.values()) >= 5, seen
@@ -476,18 +485,31 @@ def test_double_rlpn_refuses_table_budgets_before_any_trial(params, table,
 
 
 def test_double_rlpn_skips_trials_over_data_budgets(monkeypatch):
-    # six trials find the word; with no tuple allowed, every trial that
-    # reaches recover_e goes over its own budget and is skipped
+    # six trials find the word; with no tuple allowed, or no solution to
+    # any syndrome of recover_e's searches, every trial that reaches
+    # recover_e goes over its own budget and is skipped, the one that
+    # found the word too
     inst, p = _readme_decode(n_iter=6)
     assert D.double_rlpn(inst, p) is not None
-    tried = []
     recover_e = D.recover_e
-    monkeypatch.setattr(D, "recover_e",
-                        lambda *a, **kw: tried.append(1) or recover_e(*a, **kw))
-    monkeypatch.setattr(D, "MAX_TUPLES", 0)
-    stats = {}
-    assert D.double_rlpn(inst, p, stats) is None
-    assert stats["trials_used"] == 6 and tried
+    for name, value in (("MAX_TUPLES", 0), ("comb_xor_search_many",
+                        functools.partial(K.comb_xor_search_many,
+                                          max_hits=0))):
+        skipped = []
+
+        def counting(*args, **kwargs):
+            try:
+                return recover_e(*args, **kwargs)
+            except C.BudgetExceeded:
+                skipped.append(1)
+                raise
+
+        with monkeypatch.context() as m:
+            m.setattr(D, "recover_e", counting)
+            m.setattr(D, name, value)
+            stats = {}
+            assert D.double_rlpn(inst, p, stats) is None, name
+        assert stats["trials_used"] == 6 and skipped, name
 
 
 def test_double_rlpn_soundness_no_solution():
