@@ -35,8 +35,9 @@ from .asymptotics import ALGORITHMS, exponent_curve
 from .codes import DecodingInstance, draw_partition, random_code
 from .decoder import DoubleRlpnParams, double_rlpn
 from .duality import (MAX_POISSON_TRIALS, MIN_POISSON_TRIALS, ModelParams,
-                      duality_check, experimental_survival,
-                      independence_survival, poisson_survival)
+                      check_joint_budget, duality_check,
+                      experimental_survival, independence_survival,
+                      poisson_survival)
 from .errors import (BudgetExceeded, ConfigError, DomainError,
                      DualAttackError, EmptySamples)
 from .krawtchouk import krawtchouk_exact
@@ -429,6 +430,7 @@ def _cmd_duality_check(args):
     n, k, s, kaux = args.n, args.k, args.s, args.kaux
     if not (k < n and s < n and kaux <= s):
         raise ConfigError("need --k < --n, --s < --n and --kaux <= --s")
+    check_joint_budget(k, s, kaux)
     done = exact = attempt = 0
     while done < args.trials:
         if attempt >= 50 * args.trials:

@@ -6,12 +6,11 @@ exact Python integers throughout.
 """
 
 import functools
-from math import comb
 
 import numpy as np
 
-from ._kernels import coset_weight_hist, ints_to_rows, pack_rows, row_ints
-from .errors import BudgetExceeded, DomainError, RankDeficient
+from ._kernels import ints_to_rows, row_ints
+from .errors import DomainError, RankDeficient
 
 BitVec = np.ndarray
 BitMatrix = np.ndarray
@@ -220,35 +219,3 @@ class DecodingInstance:
         inst = cls(code, (code.encode(m) + e) % 2, t)
         inst.planted_e = e
         return inst
-
-
-def coset_weight_enumerator(code, x):
-    """Weight histogram of the coset x + C, as a list of n+1 exact ints.
-
-    Enumerates all 2^k codewords; dimensions above 26 are refused."""
-    if code.k > 26:
-        raise BudgetExceeded("coset enumeration capped at dimension 26")
-    x = as_bits(x).reshape(-1)
-    if x.size != code.n:
-        raise DomainError("coset representative has the wrong length")
-    hist = coset_weight_hist(pack_rows(code.generator), pack_rows(x)[0], code.n)
-    return [int(v) for v in hist]
-
-
-def gv_distance(n, k):
-    """Largest d with 2^k * |B_d| < 2^n, by exact integer count.
-
-    Returns 0 when no positive radius qualifies (k = n)."""
-    if not (0 < k <= n):
-        raise DomainError("need 0 < k <= n")
-    ball = 1
-    if (ball << k) >= (1 << n):
-        return 0
-    d = 0
-    while d < n:
-        nxt = ball + comb(n, d + 1)
-        if (nxt << k) >= (1 << n):
-            break
-        ball = nxt
-        d += 1
-    return d

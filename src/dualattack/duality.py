@@ -9,7 +9,6 @@ with exact rational arithmetic on every instance, which makes it the
 strongest oracle in the repository.
 """
 
-import math
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
@@ -61,14 +60,21 @@ class ModelParams:
                                    self.t_aux, self.k_aux)
 
 
+def check_joint_budget(k, s, k_aux):
+    """Raise BudgetExceeded unless the exhaustive joint weight count fits
+    its budget on the parameters alone: 2^(s - k_aux) coset words with
+    s - k_aux <= 12, and 2^(k - s) codewords with k - s <= 14."""
+    if s - k_aux > 12 or k - s > 14:
+        raise BudgetExceeded(f"joint weight enumeration needs s - k_aux <= 12 "
+                             f"and k - s <= 14, got {s - k_aux} and {k - s}")
+
+
 def joint_weight_counts(code, aux, part, e, x):
     """Exhaustive N_{i,j} over (x + dual aux code) x (large-side code),
     as an int64 matrix: i is the weight on the large side after the
     linear shift, j the weight of the coset word on the small side."""
     n, k, s = code.n, code.k, part.s
-    if s - aux.k_aux > 12 or k - s > 14:
-        raise BudgetExceeded("joint weight enumeration limited to "
-                             "2^12 coset words and 2^14 codewords")
+    check_joint_budget(k, s, aux.k_aux)
     e = as_bits(e).reshape(-1)
     x = as_bits(x).reshape(-1)
     if e.size != n or x.size != s:
@@ -374,59 +380,3 @@ def experimental_survival(instance, params, num_x="all", seed=0, grid=None):
     meta["num_x"] = "all" if scale == 1.0 else int(sample.size)
     return SurvivalCurve("experimental", thresholds, scale * hits, lo, hi,
                          meta)
-
-
-class AdmissibleRegion:
-    """Weight pairs whose Krawtchouk magnitude stays within a polynomial
-    factor of the planted pair's."""
-
-    def __init__(self, pairs, exponent, anchor):
-        self.pairs = frozenset((int(i), int(j)) for i, j in pairs)
-        self.exponent = float(exponent)
-        self.anchor = (int(anchor[0]), int(anchor[1]))
-        if self.anchor not in self.pairs:
-            raise DomainError("the planted weight pair must be admissible")
-
-    def __contains__(self, pair):
-        return (int(pair[0]), int(pair[1])) in self.pairs
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def admissible_region(nparams, exponent=3.2):
-    """All (i, j) with |K_w(u) K_taux(t-u)| <= n^exponent |K_w(i) K_taux(j)|."""
-    np_ = nparams
-    kw = KrawtchoukTable(np_.n - np_.s, np_.w)
-    kt = KrawtchoukTable(np_.s, np_.t_aux)
-    anchor_val = kw.value(np_.u) * kt.value(np_.t - np_.u)
-    if anchor_val == 0:
-        raise DomainError("bias vanishes at the planted weights")
-    log_anchor = math.log(abs(anchor_val))
-    budget = exponent * math.log(np_.n)
-    pairs = []
-    for i in range(np_.n - np_.s + 1):
-        kwi = kw.value(i)
-        if kwi == 0:
-            continue
-        for j in range(np_.s + 1):
-            ktj = kt.value(j)
-            if ktj == 0:
-                continue
-            if log_anchor - math.log(abs(kwi * ktj)) <= budget + 1e-12:
-                pairs.append((i, j))
-    return AdmissibleRegion(pairs, exponent, (np_.u, np_.t - np_.u))
-
-
-def candidate_bound(nparams, exponent=3.2):
-    """Expected-candidate ceiling: the largest admissible cell mean of
-    the pair counts, plus one for the planted candidate."""
-    np_ = nparams
-    region = admissible_region(nparams, exponent=exponent)
-    log2_best = None
-    for i, j in region.pairs:
-        v = (math.log2(comb(np_.s, j)) + math.log2(comb(np_.n - np_.s, i))
-             - (np_.n - np_.k))
-        if log2_best is None or v > log2_best:
-            log2_best = v
-    return 2.0 ** log2_best + 1.0

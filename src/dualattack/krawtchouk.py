@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError
+from .errors import DomainError
 
 
 def krawtchouk_exact(n, w, t):
@@ -39,32 +39,6 @@ class KrawtchoukTable:
 
     def as_float(self):
         return np.array(self.values, dtype=np.float64)
-
-
-def character_sum_oracle(x, w):
-    """sum over |y| = w of (-1)^<x, y>, by brute enumeration.
-
-    Independent of the polynomial formula; equals K_w(|x|).  Words longer
-    than 18 bits are refused."""
-    x = np.asarray(x, dtype=np.uint8).reshape(-1)
-    m = x.size
-    if m > 18:
-        raise BudgetExceeded("character sum capped at 18 bits")
-    if not (0 <= w <= m):
-        raise DomainError("need 0 <= w <= len(x)")
-    import itertools
-
-    xmask = 0
-    for i in range(m):
-        if x[i]:
-            xmask |= 1 << i
-    acc = 0
-    for support in itertools.combinations(range(m), w):
-        ymask = 0
-        for i in support:
-            ymask |= 1 << i
-        acc += -1 if bin(xmask & ymask).count("1") & 1 else 1
-    return acc
 
 
 def h2(p):

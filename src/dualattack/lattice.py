@@ -161,20 +161,6 @@ def log_bessel_j(k, xs):
     return sign, logm
 
 
-def floor_value(params, j):
-    """Dominant-term score G(j) when the closest lattice point sits at
-    distance j, as (sign, log of magnitude): N sqrt(n pi)/e times
-    (n/(2 pi e w j))^{n/2-1} J_{n/2-1}(2 pi w j)."""
-    if not j > 0:
-        raise DomainError("distance must be positive")
-    n, w = params.n, params.w
-    k = n // 2 - 1
-    sign, lj = log_bessel_j(k, [2.0 * math.pi * w * j])
-    lead = (math.log(params.N) + 0.5 * math.log(n * math.pi) - 1.0
-            + k * (math.log(n) - math.log(2.0 * math.pi * math.e * w * j)))
-    return float(sign[0]), lead + float(lj[0])
-
-
 def _floor_scores(params, log_j):
     # plain-float G over an array of log-distances; magnitudes are at
     # most about N here so the exp cannot overflow, and underflow to 0

@@ -19,8 +19,9 @@ from dualattack.asymptotics import exponent_curve, prange_exponent
 from dualattack.decoder import (DoubleRlpnParams, default_n_iter, delta,
                                 double_rlpn, p_succ)
 from dualattack.errors import EmptySamples
-from dualattack.krawtchouk import character_sum_oracle, krawtchouk_exact
+from dualattack.krawtchouk import krawtchouk_exact
 from dualattack.samples import AuxCode
+from oracles import candidate_bound, character_sum_oracle, floor_value, gv_distance
 
 DESK_SCALE = dict(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
 
@@ -142,7 +143,7 @@ def test_criterion_3_survival_models_track_experiment():
 
 def test_criterion_4_decoder_end_to_end():
     t0 = time.monotonic()
-    t = C.gv_distance(40, 20)
+    t = gv_distance(40, 20)
     assert t == 5
     ps = p_succ(40, 16, t, 3)
     n_iter = default_n_iter(ps)
@@ -175,7 +176,7 @@ def test_criterion_5_candidate_count_bound():
     nparams = DU.ModelParams(**DESK_SCALE)
     dparams = DoubleRlpnParams(s=28, u=8, w=5, k_aux=20, t_aux=2,
                                sample_budget=65536)
-    bound = DU.candidate_bound(nparams)
+    bound = candidate_bound(nparams)
     half_bias = 0.5 * float(delta(dparams, 60, 30, 8).delta)
     slack = bound * 60.0 ** 4
     ok = 0
@@ -337,7 +338,7 @@ def test_criterion_8_lattice_score_shape():
     theta = exp(curve.meta["log_theta"])
 
     def logg(j):
-        sign, lg = L.floor_value(params, j)
+        sign, lg = floor_value(params, j)
         assert sign > 0
         return lg
 

@@ -1,11 +1,13 @@
 """Every public module-level function and class under src/dualattack,
 and every public method of its classes, has a caller in the program:
 some module of src/ names it outside its own definition, or the
-benchmark harness under perfbench/ does.
+benchmark harness under perfbench/ does.  Every parameter with a
+default is passed by some call in src/ or perfbench/.
 
-A helper only the tests reach fails here unless it is listed in
-REFERENCE_ORACLES, the independent brute-force or closed-form values
-the tests compare the program against."""
+These caller rules have no exceptions.  A helper only the tests reach,
+such as an independent brute-force or closed-form value the tests
+compare the program against, belongs in tests/oracles.py.  A parameter
+its function never reads is listed in UNREAD_PARAMETERS."""
 
 import ast
 from pathlib import Path
@@ -14,20 +16,6 @@ import dualattack
 
 SRC = Path(dualattack.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
-
-REFERENCE_ORACLES = {
-    "character_sum_oracle": "brute-force character sum that checks the "
-                            "Krawtchouk formula",
-    "coset_weight_enumerator": "exhaustive coset weight histogram that "
-                               "checks decoder candidates",
-    "gv_distance": "exact Gilbert-Varshamov radius that fixes the "
-                   "acceptance instances",
-    "floor_value": "scalar Bessel floor term that checks the vectorized "
-                   "floor scores",
-    "candidate_bound": "expected-candidate ceiling that bounds the "
-                       "decoder's candidate count in criterion 5",
-}
-
 
 def _names(node):
     for sub in ast.walk(node):
@@ -76,9 +64,7 @@ def test_public_names_have_a_caller():
                     defined.add(own)
             used.update(name for name in _names(stmt) if name != own)
     used.update(_perfbench_names())
-    # a name missing here is test-only; a name listed here but called
-    # from the program no longer belongs in the list
-    assert sorted(defined - used) == sorted(REFERENCE_ORACLES)
+    assert sorted(defined - used) == []
 
 
 def test_public_methods_have_a_caller():
@@ -99,13 +85,6 @@ def test_public_methods_have_a_caller():
                 used.update(name for name in _names(item) if name != own)
     used.update(_perfbench_names())
     assert sorted(m for m in defined if m.split(".")[1] not in used) == []
-
-
-# an optional parameter no program call passes, kept on purpose
-UNPASSED_DEFAULTS = {
-    "candidate_bound(exponent)": "the oracle's polynomial slack, which a "
-                                 "finite-length comparison sets to 0",
-}
 
 
 def _optional_params(path):
@@ -169,7 +148,7 @@ def test_optional_parameters_have_a_caller():
                        or (index is not None and index < npos)
                        for npos, kws in calls.get(name, ())):
                 unpassed.add("%s(%s)" % (name, param))
-    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+    assert sorted(unpassed) == []
 
 
 # a parameter its function's body never names, kept on purpose

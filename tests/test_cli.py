@@ -651,6 +651,23 @@ def test_duality_check_budget_exit(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s,cap", [(20, "k - s <= 14"), (34, "s - k_aux <= 12")])
+def test_duality_check_refuses_its_budget_before_any_draw(capsys, monkeypatch, s, cap):
+    # the joint weight count's budget depends on the parameters alone, so
+    # a run over it exits before it draws the first code
+    drawn, real = [], cli.random_code
+
+    def recording(*args, **kwargs):
+        drawn.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "random_code", recording)
+    assert cli.run(["duality-check", "--n", "60", "--k", "40", "--s", str(s),
+                    "--kaux", "2", "--trials", "1"]) == 1
+    assert cap in capsys.readouterr().err
+    assert drawn == []
+
+
 def test_module_entry_point():
     # the child finds the package where this process did, with or without
     # PYTHONPATH set

@@ -17,9 +17,10 @@ from dualattack import _kernels as K
 from dualattack import codes as C
 from dualattack import decoder as D
 from dualattack import fourier as F
-from dualattack.errors import DomainError, EmptySamples
+from dualattack.errors import BudgetExceeded, DomainError, EmptySamples
 from dualattack.fourier import CandidateSet, bits_to_index
 from dualattack.samples import AuxCode
+from oracles import coset_weight_enumerator
 
 
 def _good_partition(code, s, rng):
@@ -274,7 +275,7 @@ def test_recover_e_tuple_budget(monkeypatch):
     aux = AuxCode.random(10, 5, 1, seed=78)
     cs = CandidateSet(5, 0.0, [(i, 1.0) for i in range(32)])
     monkeypatch.setattr(D, "MAX_TUPLES", 1000)
-    with pytest.raises(C.BudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         D.recover_e([cs, cs, cs, cs], [aux.code.generator] * 4, part, y,
                     code, 3, 2, sf=sf)
 
@@ -312,7 +313,7 @@ def _recover_e_reference(candidate_sets, g_aux_list, part, y, code, t, u,
                 e = part.merge(v, e_n)
                 if int(e.sum()) == t and code.contains(y ^ e):
                     first = e.tobytes()
-    except C.BudgetExceeded:
+    except BudgetExceeded:
         return "budget", first is not None
     return first, first is not None
 
@@ -320,7 +321,7 @@ def _recover_e_reference(candidate_sets, g_aux_list, part, y, code, t, u,
 def _outcome(fn):
     try:
         e = fn()
-    except C.BudgetExceeded:
+    except BudgetExceeded:
         return "budget"
     return None if e is None else e.tobytes()
 
@@ -442,7 +443,7 @@ def test_double_rlpn_refuses_oversized_tables_before_any_trial(monkeypatch):
     inst, p = _readme_decode()
     monkeypatch.setattr(K, "MITM_HALF_CAP", 500)
     stats = {}
-    with pytest.raises(C.BudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         D.double_rlpn(inst, p, stats)
     assert stats["trials_used"] == 0
 
@@ -459,7 +460,7 @@ def test_double_rlpn_refuses_subset_tables_by_name(cap, tables, monkeypatch):
     monkeypatch.setattr(K, "MITM_HALF_CAP", cap)
     monkeypatch.setattr(D, "draw_partition", _refuse_partition)
     stats = {}
-    with pytest.raises(C.BudgetExceeded) as err:
+    with pytest.raises(BudgetExceeded) as err:
         D.double_rlpn(inst, p, stats)
     assert str(err.value) == (", ".join(name + " table" for name in tables)
                               + " over budget before the first trial")
@@ -478,7 +479,7 @@ def test_double_rlpn_refuses_table_budgets_before_any_trial(params, table,
     inst = C.DecodingInstance.plant(code, 1, seed=[3, 102])
     monkeypatch.setattr(D, "draw_partition", _refuse_partition)
     stats = {}
-    with pytest.raises(C.BudgetExceeded,
+    with pytest.raises(BudgetExceeded,
                        match="^%s table over budget" % table):
         D.double_rlpn(inst, D.DoubleRlpnParams(**params, seed=3), stats)
     assert stats["trials_used"] == 0
@@ -500,7 +501,7 @@ def test_double_rlpn_skips_trials_over_data_budgets(monkeypatch):
         def counting(*args, **kwargs):
             try:
                 return recover_e(*args, **kwargs)
-            except C.BudgetExceeded:
+            except BudgetExceeded:
                 skipped.append(1)
                 raise
 
@@ -520,7 +521,7 @@ def test_double_rlpn_soundness_no_solution():
     for trial in range(300):
         rng = np.random.default_rng([500, trial])
         cand = rng.integers(0, 2, size=12, dtype=np.uint8)
-        hist = C.coset_weight_enumerator(code, cand)
+        hist = coset_weight_enumerator(code, cand)
         if hist[2] == 0 and hist[0] == 0 and hist[1] == 0:
             y = cand
             break

@@ -20,6 +20,7 @@ from dualattack.decoder import DoubleRlpnParams, delta
 from dualattack.errors import BudgetExceeded, DomainError, EmptySamples
 from dualattack.krawtchouk import KrawtchoukTable
 from dualattack.samples import AuxCode, expected_pair_count
+from oracles import admissible_region, candidate_bound
 
 
 def _instance(seed, n=12, k=6, s=5, k_aux=2, t_aux=1):
@@ -443,18 +444,27 @@ def _binomial_tail(n, kmin):
         return float(total)
 
 
-@pytest.mark.parametrize("n_samples", [10 ** 5 + 1, 2 * 10 ** 5])
+@pytest.mark.parametrize("n_samples", [1, 2, 7, 64, 10 ** 5 + 1, 2 * 10 ** 5])
 def test_independence_survival_is_the_exact_tail(n_samples):
-    # at every sample count, 3 to 6 standard deviations out, where a
-    # normal tail is off by 6.6e-5 to 1.1e-3 relative
+    # small sample counts at every k = ceil((T + n) / 2) - 1 from -2 to
+    # n + 1, both edges included; large ones 3 to 6 standard deviations
+    # out, where a normal tail is off by 6.6e-5 to 1.1e-3 relative
     mp = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
-    grid = [z * math.sqrt(n_samples) for z in (3.0, 4.0, 5.0, 6.0)]
+    if n_samples < 100:
+        grid = [2.0 * k + 2 - n_samples for k in range(-2, n_samples + 2)]
+    else:
+        grid = [z * math.sqrt(n_samples) for z in (3.0, 4.0, 5.0, 6.0)]
     curve = DU.independence_survival(mp, n_samples, grid=grid)
     assert curve.meta == {"axis": "score", "samples": float(n_samples)}
     for t, count in zip(grid, curve.counts):
         kmin = math.ceil((t + n_samples) / 2.0)
-        ref = 2.0 ** 20 * _binomial_tail(n_samples, kmin)
-        assert count == pytest.approx(ref, rel=1e-9, abs=0.0)
+        if kmin <= 0:
+            assert count == 2.0 ** 20
+        elif kmin > n_samples:
+            assert count == 0.0
+        else:
+            ref = 2.0 ** 20 * _binomial_tail(n_samples, kmin)
+            assert count == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_experimental_survival_planted():
@@ -511,7 +521,7 @@ def test_experimental_survival_empty_pairs():
 
 def test_admissible_region_and_bound():
     mp = DU.ModelParams(n=60, k=30, t=8, s=28, u=8, w=5, k_aux=20, t_aux=2)
-    reg = DU.admissible_region(mp)
+    reg = admissible_region(mp)
     assert (mp.u, mp.t - mp.u) in reg
     kw = KrawtchoukTable(32, 5)
     kt = KrawtchoukTable(28, 2)
@@ -527,16 +537,16 @@ def test_admissible_region_and_bound():
             continue   # too close to the cut to compare in floats
         assert ((i, j) in reg) == (ratio <= 60.0 ** 3.2)
     best = max(comb(28, j) * comb(32, i) for i, j in reg.pairs) / 2.0 ** 30
-    assert DU.candidate_bound(mp) == pytest.approx(best + 1.0, rel=1e-9)
-    assert DU.candidate_bound(mp, exponent=1.0) <= \
-        DU.candidate_bound(mp, exponent=6.0) + 1e-9
+    assert candidate_bound(mp) == pytest.approx(best + 1.0, rel=1e-9)
+    assert candidate_bound(mp, exponent=1.0) <= \
+        candidate_bound(mp, exponent=6.0) + 1e-9
 
 
 def test_admissible_region_bias_vanishes():
     # odd-degree Krawtchouk vanishes at the midpoint
     mp = DU.ModelParams(n=16, k=8, t=4, s=8, u=4, w=1, k_aux=2, t_aux=0)
     with pytest.raises(DomainError):
-        DU.admissible_region(mp)
+        admissible_region(mp)
 
 
 def test_survival_curve_type():
